@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HullBoundary, NonConvergence, TooLarge
 from .graph import AttributeTable, Graph
-from .model import ModelSpec, compile_model, dyad_list
+from .model import ModelSpec, compile_model, dyad_index, dyad_list
 
 MAX_EXACT_NODES = 6
 
@@ -34,11 +34,9 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
 def graph_bitmask(g: Graph) -> int:
     """Edge-set bitmask of a graph, bit d = dyad d in lexicographic order."""
-    n = g.n
     mask = 0
     for i, j in g.edges:
-        d = i * n - i * (i + 1) // 2 + (j - i - 1)
-        mask |= 1 << d
+        mask |= 1 << dyad_index(g.n, i, j)
     return mask
 
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, Degeneracy, NonConvergence
 from .graph import AttributeTable, Graph
 from .logistic import fit_logistic, sigmoid
 from .model import Edges, ModelSpec, TermSpec, compile_model, term_to_dict
-from .sampler import SamplerConfig, sample, write_stats_trace
+from .sampler import SamplerConfig, sample, simulate, write_stats_trace
 
 Z_95 = 1.959964
 
@@ -408,6 +408,9 @@ def gof(
 ) -> GofReport:
     """Simulate at theta and compare observed statistics to the bands.
 
+    Dyad-independent models are drawn exactly, so ``cfg.burn_in`` and
+    ``cfg.thin`` apply only to models with gwdegree (see ``simulate``).
+
     ``aux_model`` adds statistics evaluated on the simulated graphs but
     absent from the fitted model, for detecting misfit the model cannot
     express; they are reported but excluded from the no-lack-of-fit flag.
@@ -418,7 +421,7 @@ def gof(
         raise ConfigError("goodness-of-fit needs at least one simulated network")
     cm = compile_model(model, attrs, g.n)
     obs = cm.statistics(g)
-    graphs, S = sample(g, theta, model, attrs, cfg, keep_graphs=True)
+    graphs, S = simulate(g, theta, model, attrs, cfg, keep_graphs=True)
     if trace_path is not None:
         write_stats_trace(trace_path, cm.stat_names, S)
     stat_rows = tuple(

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import MissingAttribute, SelfLoop
+from .errors import DataError, MissingAttribute, SelfLoop, TooFewNodes
 from .graph import AttributeTable, CategoricalColumn, Graph
 
 
@@ -152,11 +152,17 @@ class _CompiledTerm:
 class CompiledModel:
     """A model bound to an attribute table, ready for fast evaluation.
 
-    Validates level references and completeness once; exposes vectorized
-    statistics, per-dyad change rows, and the full dyad design matrix.
+    Validates once that the table has one row per node (a table without
+    columns fits any size), level references and completeness; exposes
+    vectorized statistics, per-dyad change rows, and the full dyad design
+    matrix.
     """
 
     def __init__(self, model: ModelSpec, attrs: AttributeTable, n: int):
+        if attrs.names and attrs.n != n:
+            raise DataError(
+                f"attribute table has {attrs.n} rows but the graph has {n} nodes"
+            )
         self.model = model
         self.n = n
         self._compiled: list[_CompiledTerm] = []
@@ -354,7 +360,7 @@ class CompiledModel:
         """
         n = self.n
         if n < 2:
-            raise ValueError("design matrix requires n >= 2")
+            raise TooFewNodes(f"design matrix requires n >= 2 nodes, got n = {n}")
         iu, ju = np.triu_indices(n, k=1)
         D = len(iu)
         adj = np.zeros((n, n), dtype=bool)

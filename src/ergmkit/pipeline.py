@@ -44,7 +44,7 @@ from .model import (
     term_to_dict,
 )
 from .netstats import network_summary
-from .sampler import SamplerConfig
+from .sampler import SamplerConfig, simulation_counters
 
 SCOPES = ("full", "lcc")
 POLICIES = ("complete_case", "psm", "missforest")
@@ -454,6 +454,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
                 trace_path=(outdir / "gof_trace.csv") if config.gof_trace else None,
             )
             report.gof = gof_report
+            summary["stages"]["gof"] = simulation_counters(model, g.n, gof_cfg)
             _write(outdir / "gof.csv", gof_report.to_csv())
             _write(outdir / "gof.json", gof_report.to_json() + "\n")
             summary["no_lack_of_fit"] = gof_report.no_lack_of_fit

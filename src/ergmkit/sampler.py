@@ -1,6 +1,16 @@
-"""Metropolis-Hastings sampling over graphs.
+"""Simulation of graphs from a model: exact draws or Metropolis-Hastings.
 
-The kernel proposes a uniformly random dyad toggle and accepts with
+``simulate`` is the entry point. A dyad-independent model (no gwdegree
+term) makes every dyad an independent Bernoulli(sigmoid(delta_ij . theta))
+variable, so its graphs are drawn exactly: the tie probabilities are
+computed once from the empty-graph design matrix, and each retained
+sample takes one block of uniforms from the PCG64 stream seeded from
+SamplerConfig.seed and keeps the dyads whose uniform falls below their
+probability. Samples are independent. Models with gwdegree run the
+Metropolis-Hastings chain of ``sample``, which is also the kernel of
+MC-MLE; ``burn_in``/``thin`` apply only to MC-MLE and gwdegree models.
+
+The MH kernel proposes a uniformly random dyad toggle and accepts with
 probability min(1, exp(s * theta . delta)), where delta is the dyad's
 change statistic and s is +1 for adding the edge, -1 for removing it. This
 is the conditional log-odds form, so detailed balance with respect to the
@@ -21,7 +31,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import AttributeTable, Graph
-from .model import CompiledModel, ModelSpec, compile_model, dyad_list
+from .logistic import sigmoid
+from .model import CompiledModel, ModelSpec, compile_model, dyad_index, dyad_list
 
 _BLOCK = 1 << 15
 
@@ -48,17 +59,18 @@ class SamplerConfig:
         thin = max(1, n * n) if self.thin is None else self.thin
         return burn, thin
 
+    def proposals(self, n: int) -> int:
+        """MH proposals one chain makes: burn-in plus thinning per sample."""
+        burn, thin = self.resolve(n)
+        return burn + thin * self.sample_count
+
 
 class ChainState:
     """Private mutable chain state: dyad bits, degrees, running statistics."""
 
     def __init__(self, g0: Graph, theta: np.ndarray, model: ModelSpec, attrs: AttributeTable):
-        theta = np.asarray(theta, dtype=np.float64)
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
         cm = compile_model(model, attrs, g0.n)
-        if len(theta) != cm.p:
-            raise ValueError(f"theta has length {len(theta)}, model needs {cm.p}")
+        theta = _checked_theta(theta, cm)
         self.n = g0.n
         self.cm = cm
         self.theta = theta
@@ -67,7 +79,7 @@ class ChainState:
         self.D = len(self.dyads)
         self.bits = [0] * self.D
         for i, j in g0.edges:
-            self.bits[_dyad_pos(g0.n, i, j)] = 1
+            self.bits[dyad_index(g0.n, i, j)] = 1
         self.deg = [int(d) for d in g0.degrees()]
         # static part: change rows of every dyad-independent term; these do
         # not depend on the current graph so they are computed once
@@ -89,17 +101,25 @@ class ChainState:
 
     def revalidate(self, tol: float = 1e-9) -> None:
         """Check incrementally maintained statistics against a recompute."""
-        fresh = self.cm.statistics(self.graph())
-        drift = float(np.max(np.abs(fresh - self.stats))) if self.cm.p else 0.0
-        if drift > tol:
-            raise RuntimeError(f"incremental statistic drift {drift:g} exceeds {tol:g}")
-        self.stats = fresh
+        self.stats = _revalidated(self.cm, self.graph(), self.stats, tol)
 
 
-def _dyad_pos(n: int, i: int, j: int) -> int:
-    if i > j:
-        i, j = j, i
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+def _checked_theta(theta: np.ndarray, cm: CompiledModel) -> np.ndarray:
+    theta = np.asarray(theta, dtype=np.float64)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    if len(theta) != cm.p:
+        raise ValueError(f"theta has length {len(theta)}, model needs {cm.p}")
+    return theta
+
+
+def _revalidated(cm: CompiledModel, g: Graph, stats: np.ndarray, tol: float) -> np.ndarray:
+    """A full recompute of g's statistics, checked against ``stats``."""
+    fresh = cm.statistics(g)
+    drift = float(np.max(np.abs(fresh - stats))) if cm.p else 0.0
+    if drift > tol:
+        raise RuntimeError(f"incremental statistic drift {drift:g} exceeds {tol:g}")
+    return fresh
 
 
 def _static_rows(cm: CompiledModel) -> np.ndarray:
@@ -170,7 +190,7 @@ def sample(
     state = ChainState(g0, theta, model, attrs)
     burn, thin = cfg.resolve(g0.n)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    total = burn + thin * cfg.sample_count
+    total = cfg.proposals(g0.n)
     retained_stats = np.empty((cfg.sample_count, state.cm.p))
     graphs: list[Graph] = []
     done = 0
@@ -192,6 +212,51 @@ def sample(
                 next_retain += thin
     state.revalidate()
     return graphs, retained_stats
+
+
+def simulate(
+    g0: Graph,
+    theta: np.ndarray,
+    model: ModelSpec,
+    attrs: AttributeTable,
+    cfg: SamplerConfig,
+    keep_graphs: bool = True,
+) -> tuple[list[Graph], np.ndarray]:
+    """Draw ``cfg.sample_count`` graphs at theta; same contract as ``sample``.
+
+    Dyad-independent models are drawn exactly and ``g0`` only fixes the
+    node count; other models run ``sample`` from ``g0``. The statistics of
+    each draw are its summed change rows, checked against a full recompute
+    on the last draw. Fully determined by inputs + seed.
+    """
+    if not model.dyad_independent:
+        return sample(g0, theta, model, attrs, cfg, keep_graphs)
+    cm = compile_model(model, attrs, g0.n)
+    theta = _checked_theta(theta, cm)
+    X = _static_rows(cm)
+    prob = sigmoid(X @ theta)
+    dyads = dyad_list(cm.n)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    retained_stats = np.empty((cfg.sample_count, cm.p))
+    graphs: list[Graph] = []
+    for k in range(cfg.sample_count):
+        on = np.flatnonzero(rng.random(len(prob)) < prob)
+        retained_stats[k] = X[on].sum(axis=0)
+        if keep_graphs:
+            graphs.append(Graph(cm.n, dyads[on].tolist()))
+    last = graphs[-1] if keep_graphs else Graph(cm.n, dyads[on].tolist())
+    _revalidated(cm, last, retained_stats[-1], 1e-9)
+    return graphs, retained_stats
+
+
+def simulation_counters(model: ModelSpec, n: int, cfg: SamplerConfig) -> dict:
+    """Which simulator ``simulate`` runs, its retained samples and MH proposals."""
+    exact = model.dyad_independent
+    return {
+        "simulator": "exact" if exact else "metropolis",
+        "samples": cfg.sample_count,
+        "proposals": 0 if exact else cfg.proposals(n),
+    }
 
 
 def write_stats_trace(path, names: tuple[str, ...], stats: np.ndarray) -> None:

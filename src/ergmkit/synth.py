@@ -1,8 +1,10 @@
 """Synthetic attribute tables and model-simulated graphs for testing.
 
 Attributes are drawn independently per node from declared marginals, the
-graph comes from a long Metropolis run at the declared true parameters,
-and missingness is injected either completely at random or conditionally
+graph is simulated at the declared true parameters (an exact draw for
+dyad-independent models, a long Metropolis run from the empty graph for
+models with gwdegree, whose burn-in ``SynthSpec.burn_in`` sets), and
+missingness is injected either completely at random or conditionally
 on one observed covariate through a logistic link whose intercept is
 calibrated so the average missing probability hits the requested rate.
 """
@@ -24,7 +26,7 @@ from .graph import (
 from .imputation import MissingnessMask
 from .logistic import sigmoid
 from .model import ModelSpec, term_from_dict, term_to_dict
-from .sampler import SamplerConfig, sample
+from .sampler import SamplerConfig, simulate
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def generate(
     cfg = SamplerConfig(
         burn_in=spec.burn_in, thin=1, sample_count=1, seed=graph_seed
     )
-    graphs, _ = sample(Graph(spec.n), theta, spec.model, complete, cfg)
+    graphs, _ = simulate(Graph(spec.n), theta, spec.model, complete, cfg)
     g = graphs[0]
 
     mrng = np.random.Generator(np.random.PCG64(miss_ss))

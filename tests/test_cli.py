@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import ergmkit.pipeline as pipeline
 from ergmkit.cli import main
+from ergmkit.graph import Graph
 
 from test_pipeline import make_config, make_dataset
 
@@ -103,6 +105,39 @@ class TestExitCodes:
             capsys, "run", "--config", str(make_config(tmp_path))
         )
         assert code == 4
+
+    def test_table_size_mismatch_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # a table one row per node longer than the graph must not be fitted
+        make_dataset(tmp_path, missing_rate=0.0)
+        load = pipeline.load_network
+
+        def misaligned(*args):
+            g, attrs, ids = load(*args)
+            kept = [(i, j) for i, j in g.edges if j < g.n - 2]
+            return Graph(g.n - 2, kept), attrs, ids[:-2]
+
+        monkeypatch.setattr(pipeline, "load_network", misaligned)
+        cfg = make_config(tmp_path, missing_policy="psm")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        assert "rows" in err
+
+    def test_too_few_nodes_is_data_error(self, tmp_path, capsys):
+        # complete cases leave one node, so there is no dyad to fit
+        (tmp_path / "edges.csv").write_text("source,target\n0,1\n1,2\n2,3\n")
+        (tmp_path / "attrs.csv").write_text("id,sex\n0,male\n1,\n2,\n3,\n")
+        (tmp_path / "schema.json").write_text(
+            json.dumps(
+                {
+                    "columns": {"sex": {"type": "categorical", "levels": ["male", "female"]}},
+                    "reference_levels": {"sex": "male"},
+                }
+            )
+        )
+        cfg = make_config(tmp_path, attributes_used=["sex"])
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        assert "n >= 2" in err
 
     def test_separation_maps_to_fit_code(self, tmp_path, capsys):
         # complete graph: the edges coefficient diverges

@@ -307,6 +307,32 @@ class TestGof:
         report = gof(g, attrs, ModelSpec([Edges()]), np.array([-1.0]), cfg)
         assert any(r.name == "degree0" for r in report.degree_rows)
 
+    def test_gwdegree_model_uses_the_chain(self, tmp_path):
+        attrs = two_level_attrs(6, 3)
+        model = ModelSpec([Edges(), GwDegree(0.5)])
+        g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+        theta = np.array([-0.8, 0.4])
+        cfg = SamplerConfig(burn_in=200, thin=20, sample_count=30, seed=4)
+        trace = tmp_path / "trace.csv"
+        report = gof(g, attrs, model, theta, cfg, trace_path=trace)
+        _, S = sample(g, theta, model, attrs, cfg)
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        np.testing.assert_array_equal(np.array(rows, dtype=float), S)
+        assert [r.sim_mean for r in report.stat_rows] == [S[:, k].mean() for k in range(2)]
+
+    def test_dyad_independent_report_repeats(self, tmp_path):
+        attrs = two_level_attrs(8, 3)
+        model = ModelSpec([Edges(), NodeMatch("grp")])
+        g = Graph(8, [(0, 1), (1, 2), (3, 4), (5, 7)])
+        theta = np.array([-1.0, 0.5, 0.3])
+        cfg = SamplerConfig(sample_count=50, seed=9)
+        outs = []
+        for name in ("a", "b"):
+            trace = tmp_path / f"{name}.csv"
+            report = gof(g, attrs, model, theta, cfg, trace_path=trace)
+            outs.append((report.to_json(), report.to_csv(), trace.read_bytes()))
+        assert outs[0] == outs[1]
+
     def test_zero_samples_rejected(self):
         with pytest.raises(Exception):
             SamplerConfig(sample_count=0)

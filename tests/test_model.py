@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmkit.errors import MissingAttribute, SelfLoop, UnknownLevel
+from ergmkit.errors import DataError, MissingAttribute, SelfLoop, TooFewNodes, UnknownLevel
 from ergmkit.graph import AttributeTable, Graph, categorical
 from ergmkit.model import (
     Edges,
@@ -128,6 +128,17 @@ class TestStatistics:
     def test_duplicate_edges_term_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec([Edges(), Edges()])
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_table_size_mismatch_rejected(self, n):
+        # a 5-row table against 3 nodes used to yield statistics silently
+        attrs = two_level_attrs(5, 3)
+        with pytest.raises(DataError, match="5 rows"):
+            statistics(Graph(n, [(0, 1)]), attrs, ModelSpec([Edges(), NodeMatch("grp")]))
+
+    def test_table_without_columns_fits_any_size(self):
+        got = statistics(Graph(3, [(0, 1)]), AttributeTable([]), ModelSpec([Edges()]))
+        assert got.tolist() == [1.0]
 
     def test_duplicate_stat_names_rejected(self):
         attrs = sex_attrs(["male", "female"])
@@ -271,6 +282,11 @@ class TestDesignMatrix:
         X, y = dyad_design_matrix(Graph(3, [(0, 2)]), attrs, ModelSpec([Edges()]))
         assert X.shape == (3, 1)
         assert y.tolist() == [0.0, 1.0, 0.0]  # dyads (0,1),(0,2),(1,2)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_nodes(self, n):
+        with pytest.raises(TooFewNodes):
+            dyad_design_matrix(Graph(n), two_level_attrs(n, n), ModelSpec([Edges()]))
 
     def test_empty_graph_labels(self):
         attrs = two_level_attrs(4, 2)

@@ -339,6 +339,13 @@ class TestRun:
         assert "gwdegree" in report.fit.stat_names
         table = json.loads((tmp_path / "gw" / "fit_match.json").read_text())
         assert any(r["term"] == "gwdegree" for r in table["table"])
+        manifest = json.loads((tmp_path / "gw" / "manifest.json").read_text())
+        # default chain: 10 n^2 burn-in plus n^2 proposals per retained sample
+        assert manifest["stages"]["gof"] == {
+            "simulator": "metropolis",
+            "samples": 30,
+            "proposals": 10 * 40**2 + 30 * 40**2,
+        }
 
     def test_gof_trace_written_when_requested(self, tmp_path):
         make_dataset(tmp_path, missing_rate=0.0)
@@ -351,3 +358,5 @@ class TestRun:
         trace = (tmp_path / "tr" / "gof_trace.csv").read_text().splitlines()
         assert trace[0].startswith("edges")
         assert len(trace) == 26  # header + one row per retained sample
+        manifest = json.loads((tmp_path / "tr" / "manifest.json").read_text())
+        assert manifest["stages"]["gof"] == {"simulator": "exact", "samples": 25, "proposals": 0}

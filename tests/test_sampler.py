@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
-from ergmkit.errors import ConfigError
-from ergmkit.exact import exact_distribution, exact_expected_stats
+from ergmkit.errors import ConfigError, TooFewNodes
+from ergmkit.exact import exact_distribution, exact_expected_stats, graph_bitmask
 from ergmkit.graph import Graph
 from ergmkit.model import Edges, GwDegree, ModelSpec, NodeMatch, statistics
-from ergmkit.sampler import ChainState, SamplerConfig, mh_step, sample
+from ergmkit.sampler import (
+    ChainState,
+    SamplerConfig,
+    mh_step,
+    sample,
+    simulate,
+    simulation_counters,
+)
 
 from conftest import rng, two_level_attrs
 
@@ -127,3 +135,77 @@ class TestSample:
         before = set(g0.edges)
         sample(g0, np.zeros(1), EDGES, attrs, SamplerConfig(10, 2, 5, seed=3))
         assert set(g0.edges) == before
+
+
+class TestSimulate:
+    def test_exact_draws_vs_exact_distribution(self):
+        # the form of acceptance criterion 3, on the exact path
+        attrs = two_level_attrs(5, 3)
+        model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
+        theta = np.array([-0.4, 0.8])
+        dist = exact_distribution(5, attrs, model, theta)
+        probs = dist.probabilities()
+        cfg = SamplerConfig(sample_count=100_000, seed=42)
+        graphs, stat_mat = simulate(Graph(5), theta, model, attrs, cfg)
+        counts = np.zeros(len(probs))
+        for g in graphs:
+            counts[graph_bitmask(g)] += 1
+        expected = probs * len(graphs)
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        threshold = float(sps.chi2.ppf(0.99, len(probs) - 1))
+        assert chi2 < threshold, f"chi2 {chi2:.1f} >= {threshold:.1f}"
+        want = exact_expected_stats(dist)
+        se = stat_mat.std(axis=0) / math.sqrt(len(stat_mat))
+        assert np.all(np.abs(stat_mat.mean(axis=0) - want) <= 3 * np.maximum(se, 1e-12))
+
+    def test_retained_stats_equal_full_recompute(self):
+        attrs = two_level_attrs(6, 3)
+        model = ModelSpec([Edges(), NodeMatch("grp")])
+        theta = np.array([-0.5, 0.6, 0.2])
+        graphs, stats = simulate(Graph(6), theta, model, attrs, SamplerConfig(sample_count=40, seed=13))
+        for g, row in zip(graphs, stats):
+            np.testing.assert_array_equal(row, statistics(g, attrs, model))
+
+    def test_exact_path_ignores_start_and_chain_controls(self):
+        attrs = two_level_attrs(6, 3)
+        model = ModelSpec([Edges(), NodeMatch("grp")])
+        theta = np.array([-0.5, 0.6, 0.2])
+        a = simulate(Graph(6), theta, model, attrs, SamplerConfig(sample_count=20, seed=8))
+        b = simulate(
+            Graph(6, [(0, 1), (2, 5)]),
+            theta,
+            model,
+            attrs,
+            SamplerConfig(burn_in=7, thin=3, sample_count=20, seed=8),
+            keep_graphs=False,
+        )
+        assert b[0] == []
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_counters(self):
+        cfg = SamplerConfig(burn_in=100, thin=10, sample_count=7)
+        assert simulation_counters(EDGES, 5, cfg) == {
+            "simulator": "exact",
+            "samples": 7,
+            "proposals": 0,
+        }
+        gw = ModelSpec([Edges(), GwDegree(0.5)])
+        assert simulation_counters(gw, 5, cfg) == {
+            "simulator": "metropolis",
+            "samples": 7,
+            "proposals": 170,
+        }
+
+
+class TestTooFewNodes:
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("model", [EDGES, ModelSpec([Edges(), GwDegree(0.5)])])
+    def test_sample(self, n, model):
+        theta = np.zeros(len(model.terms))
+        with pytest.raises(TooFewNodes):
+            sample(Graph(n), theta, model, two_level_attrs(n, n), SamplerConfig())
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_exact_path(self, n):
+        with pytest.raises(TooFewNodes):
+            simulate(Graph(n), np.zeros(1), EDGES, two_level_attrs(n, n), SamplerConfig())
