@@ -9,7 +9,6 @@ from .graph import (
     categorical,
     connected_components,
     continuous,
-    degree_sequence,
     largest_connected_component,
     load_graph,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "change_statistics",
     "connected_components",
     "continuous",
-    "degree_sequence",
     "dyad_design_matrix",
     "fit_mcmle",
     "fit_mple",

@@ -79,6 +79,10 @@ class Degeneracy(FitError):
     """Sampled statistics collapsed far from the observed statistics."""
 
 
+class SingularInformation(FitError):
+    """Sampled statistics do not vary independently; names the statistics."""
+
+
 class NonConvergence(FitError):
     """Iteration limit reached before the convergence criterion."""
 

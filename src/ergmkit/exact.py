@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HullBoundary, NonConvergence, TooLarge
 from .graph import AttributeTable, Graph
-from .model import ModelSpec, compile_model, dyad_index, dyad_list
+from .model import CompiledModel, ModelSpec, dyad_index, dyad_list
 
 MAX_EXACT_NODES = 6
 
@@ -42,7 +42,7 @@ def graph_bitmask(g: Graph) -> int:
 
 def stat_table(n: int, attrs: AttributeTable, model: ModelSpec) -> np.ndarray:
     """Statistic vectors for every graph, row index = edge-set bitmask."""
-    cm = compile_model(model, attrs, n)
+    cm = CompiledModel(model, attrs, n)
     graphs = enumerate_graphs(n)
     G = np.empty((len(graphs), cm.p))
     for k, g in enumerate(graphs):
@@ -115,7 +115,7 @@ def exact_mle(
     """
     if g_obs.n > 5:
         raise TooLarge("exact_mle capped at n = 5")
-    cm = compile_model(model, attrs, g_obs.n)
+    cm = CompiledModel(model, attrs, g_obs.n)
     G = stat_table(g_obs.n, attrs, model)
     obs = cm.statistics(g_obs)
     lo, hi = G.min(axis=0), G.max(axis=0)

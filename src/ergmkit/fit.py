@@ -2,7 +2,8 @@
 
 Two estimators share the reporting contract: maximum pseudo-likelihood
 (logistic regression of observed dyads on change statistics, exact for
-dyad-independent models) and Monte Carlo maximum likelihood, which
+dyad-independent models, whose dyads it fits grouped into level-pair
+blocks) and Monte Carlo maximum likelihood, which
 iterates sampling at a reference parameter and maximizing the
 importance-sampled log-likelihood ratio
 
@@ -22,10 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, Degeneracy, NonConvergence
+from .errors import ConfigError, Degeneracy, NonConvergence, SingularInformation
 from .graph import AttributeTable, Graph
-from .logistic import fit_logistic, sigmoid
-from .model import Edges, ModelSpec, TermSpec, compile_model, term_to_dict
+from .logistic import collinear_terms, fit_logistic, sigmoid
+from .model import CompiledModel, Edges, ModelSpec, TermSpec, term_to_dict
 from .sampler import SamplerConfig, sample, simulate, write_stats_trace
 
 Z_95 = 1.959964
@@ -155,17 +156,35 @@ def or_table(
 def dyad_probabilities(
     g: Graph, attrs: AttributeTable, model: ModelSpec, theta: np.ndarray
 ) -> np.ndarray:
-    """Conditional tie probability per dyad at the given parameters."""
-    cm = compile_model(model, attrs, g.n)
+    """Conditional tie probability per dyad at the given parameters.
+
+    Dyad-independent models take one probability per level-pair block.
+    """
+    cm = CompiledModel(model, attrs, g.n)
+    theta = np.asarray(theta, dtype=np.float64)
+    if model.dyad_independent:
+        return sigmoid(cm.table @ theta)[cm.dyad_blocks()]
     X, _ = cm.design_matrix(g)
-    return sigmoid(X @ np.asarray(theta, dtype=np.float64))
+    return sigmoid(X @ theta)
 
 
 def fit_mple(g: Graph, attrs: AttributeTable, model: ModelSpec) -> FitResult:
-    """Maximum pseudo-likelihood via IRLS on the dyad design matrix."""
-    cm = compile_model(model, attrs, g.n)
-    X, y = cm.design_matrix(g)
-    lf = fit_logistic(X, y, names=list(cm.stat_names))
+    """Maximum pseudo-likelihood via IRLS.
+
+    A dyad-independent model is fitted on its level-pair blocks: one row
+    per block holding dyads, with the block's dyad count as the trials and
+    its tie count as the successes, which is the dyad-level
+    pseudo-likelihood regrouped; building it costs O(n + m). Models with
+    gwdegree fit the dyad design matrix. ``diagnostics`` reports the dyads
+    and the rows fitted (``blocks``; one per dyad with gwdegree).
+    """
+    cm = CompiledModel(model, attrs, g.n)
+    if model.dyad_independent:
+        X, y, trials = cm.block_design(g)
+    else:
+        X, y = cm.design_matrix(g)
+        trials = np.ones(len(y))
+    lf = fit_logistic(X, y, names=list(cm.stat_names), trials=trials)
     return FitResult(
         theta=lf.beta,
         covariance=lf.covariance,
@@ -175,7 +194,8 @@ def fit_mple(g: Graph, attrs: AttributeTable, model: ModelSpec) -> FitResult:
         diagnostics={
             "iterations": lf.iterations,
             "score_norm": lf.score_norm,
-            "dyads": int(len(y)),
+            "dyads": int(trials.sum()),
+            "blocks": int(len(y)),
         },
     )
 
@@ -212,9 +232,12 @@ def fit_mcmle(
     log-likelihood-ratio estimate; the round converges when the estimated
     gradient norm drops to 1e-3 * p without the step being truncated by
     the effective-sample-size floor. The covariance is the inverse of the
-    weighted sample covariance of the statistics at the solution.
+    weighted sample covariance of the statistics at the solution; a
+    confirmation sample whose statistics do not vary independently raises
+    SingularInformation naming them. ``diagnostics["proposals"]`` counts
+    the MH proposals of every round and of the confirmation sample.
     """
-    cm = compile_model(model, attrs, g.n)
+    cm = CompiledModel(model, attrs, g.n)
     p = cm.p
     obs = cm.statistics(g)
     if theta0 is None:
@@ -286,7 +309,14 @@ def fit_mcmle(
     mean = S.mean(axis=0)
     centered = S - mean
     info = centered.T @ centered / len(S)
-    covariance = np.linalg.inv(info)
+    try:
+        covariance = np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        involved = collinear_terms(centered, list(cm.stat_names)) or list(cm.stat_names)
+        raise SingularInformation(
+            f"confirmation sample covariance is singular; statistics without "
+            f"independent variation: {involved}"
+        ) from None
     moment_gap = obs - mean
     mc_se = np.sqrt(np.diag(covariance) / len(S))
     return FitResult(
@@ -297,12 +327,26 @@ def fit_mcmle(
         rows=or_table(theta_hat, covariance, cm.stat_names),
         diagnostics={
             "iterations": outer_used,
+            "proposals": (outer_used + 1) * cfg.proposals(g.n),
             "grad_norm": gnorm,
             "ess": float(len(S)),
             "mc_se": [float(v) for v in mc_se],
             "moment_gap": [float(v) for v in moment_gap],
         },
     )
+
+
+def fit_counters(result: FitResult) -> dict:
+    """Seed-determined work counts of a fit, for the run manifest."""
+    d = result.diagnostics
+    if result.method == "MPLE":
+        return {
+            "method": "MPLE",
+            "dyads": d["dyads"],
+            "blocks": d["blocks"],
+            "iterations": d["iterations"],
+        }
+    return {"method": "MCMLE", "rounds": d["iterations"], "proposals": d["proposals"]}
 
 
 @dataclass(frozen=True)
@@ -419,7 +463,7 @@ def gof(
     """
     if cfg.sample_count < 1:
         raise ConfigError("goodness-of-fit needs at least one simulated network")
-    cm = compile_model(model, attrs, g.n)
+    cm = CompiledModel(model, attrs, g.n)
     obs = cm.statistics(g)
     graphs, S = simulate(g, theta, model, attrs, cfg, keep_graphs=True)
     if trace_path is not None:
@@ -441,7 +485,7 @@ def gof(
     )
     aux_rows: tuple[GofRow, ...] = ()
     if aux_model is not None:
-        am = compile_model(aux_model, attrs, g.n)
+        am = CompiledModel(aux_model, attrs, g.n)
         aux_obs = am.statistics(g)
         aux_sims = np.array([am.statistics(gs) for gs in graphs])
         aux_rows = tuple(

@@ -93,10 +93,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def degree_sequence(g: Graph) -> np.ndarray:
-    return g.degrees()
-
-
 @dataclass(frozen=True)
 class CategoricalColumn:
     """Per-node categorical values coded as indices into ``levels``.

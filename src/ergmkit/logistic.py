@@ -1,9 +1,15 @@
 """Unpenalized logistic regression by iteratively reweighted least squares.
 
-Shared by the pseudo-likelihood fitter (dyads on change statistics) and
-the propensity model (missingness on covariates). Convergence is on the
-score: max |X'(y - mu)| <= tol. The reported covariance is the inverse
-observed information X' W X at the optimum.
+Rows are grouped: row r holds y_r successes out of trials_r Bernoulli
+trials that share the covariates X_r (trials default to 1, one Bernoulli
+row each). The pseudo-likelihood fitter passes one row per level-pair
+block of a dyad-independent model, with its dyad count as the trials and
+its tie count as y, or one row per dyad for gwdegree models; the
+propensity model passes one row per node. Grouping changes no estimate:
+the log-likelihood, score and information are the per-trial sums.
+Convergence is on the score: max |X'(y - trials * mu)| <= tol. The
+reported covariance is the inverse observed information X' W X at the
+optimum, W = trials * mu * (1 - mu).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, RankDeficient, Separation
+from .errors import ConfigError, NonConvergence, RankDeficient, Separation
 
 _ETA_CLIP = 35.0  # sigmoid saturates to machine precision well before this
 
@@ -34,31 +40,50 @@ def sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_rank(X: np.ndarray, names: list[str]) -> None:
-    if X.shape[0] < X.shape[1]:
-        raise RankDeficient("fewer observations than model terms")
+def collinear_terms(X: np.ndarray, names: list[str], count: float | None = None) -> list[str]:
+    """Sorted names of the columns in X's numerical null space; empty at full rank.
+
+    The tolerance is the largest singular value times max(count, columns)
+    times machine epsilon, with ``count`` the number of observations the
+    rows stand for (default: the row count).
+    """
+    rows, p = X.shape
+    if rows < p:
+        X = np.vstack([X, np.zeros((p - rows, p))])  # X'X, so the null space, is unchanged
     _, s, vt = np.linalg.svd(X, full_matrices=False)
-    tol = s[0] * max(X.shape) * np.finfo(float).eps if len(s) else 0.0
-    deficient = s <= tol
-    if deficient.any():
-        involved = sorted(
-            {
-                names[k]
-                for row in vt[deficient]
-                for k in np.flatnonzero(np.abs(row) > 1e-8)
-            }
-        )
+    count = rows if count is None else count
+    tol = s[0] * max(count, p) * np.finfo(float).eps if len(s) else 0.0
+    return sorted(
+        {
+            names[k]
+            for row in vt[s <= tol]
+            for k in np.flatnonzero(np.abs(row) > 1e-8)
+        }
+    )
+
+
+def _check_rank(X: np.ndarray, trials: np.ndarray, names: list[str]) -> None:
+    # sqrt(trials)-scaled rows have the Gram matrix, so the singular values,
+    # of the design with every trial as its own row
+    count = float(trials.sum())
+    if count < X.shape[1]:
+        raise RankDeficient("fewer observations than model terms")
+    involved = collinear_terms(X * np.sqrt(trials)[:, None], names, count)
+    if involved:
         raise RankDeficient(f"collinear terms: {involved}")
 
 
-def _check_separation(X: np.ndarray, y: np.ndarray, names: list[str]) -> None:
-    ones = y == 1
-    if ones.all() or (~ones).all():
-        label = "ties" if ones.all() else "non-ties"
+def _check_separation(
+    X: np.ndarray, y: np.ndarray, trials: np.ndarray, names: list[str]
+) -> None:
+    ones = y > 0  # rows holding a success (tie)
+    zeros = trials - y > 0  # rows holding a failure (non-tie)
+    if not ones.any() or not zeros.any():
+        label = "non-ties" if zeros.any() else "ties"
         raise Separation(f"every dyad has the same outcome ({label}); no finite estimate")
     for k in range(X.shape[1]):
         col = X[:, k]
-        hi0, lo0 = col[~ones].max(), col[~ones].min()
+        hi0, lo0 = col[zeros].max(), col[zeros].min()
         hi1, lo1 = col[ones].max(), col[ones].min()
         # complete one-column separation; quasi-complete cases are caught
         # by the divergence guard inside the IRLS loop
@@ -70,23 +95,28 @@ def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
     names: list[str] | None = None,
+    trials: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> LogisticFit:
+    """Fit y successes out of ``trials`` (default 1 per row) on the rows of X."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    trials = np.ones(len(y)) if trials is None else np.asarray(trials, dtype=np.float64)
+    if X.shape[1] == 0:
+        raise ConfigError("the model has no statistics to fit")
     names = names or [f"x{k}" for k in range(X.shape[1])]
-    _check_rank(X, names)
-    _check_separation(X, y, names)
+    _check_rank(X, trials, names)
+    _check_separation(X, y, trials, names)
     beta = np.zeros(X.shape[1])
     score_norm = np.inf
     converged = False
     for it in range(1, max_iter + 1):
         eta = np.clip(X @ beta, -_ETA_CLIP, _ETA_CLIP)
         mu = sigmoid(eta)
-        score = X.T @ (y - mu)
+        score = X.T @ (y - trials * mu)
         score_norm = float(np.max(np.abs(score)))
-        w = mu * (1.0 - mu)
+        w = trials * mu * (1.0 - mu)
         info = X.T @ (X * w[:, None])
         if converged:
             return LogisticFit(beta, np.linalg.inv(info), it, score_norm)

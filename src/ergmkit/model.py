@@ -9,6 +9,16 @@ Change statistics are the difference in g from switching one dyad on
 versus off with the rest of the graph held fixed; they determine the
 conditional log-odds of a tie and are computed incrementally, never by
 rebuilding the graph.
+
+A model compiles to one table. Each node gets one joint code over the
+attribute columns the model uses (its group; only codes that occur are
+numbered), and every dyad between groups a and b has the same change row
+for every term but gwdegree. The table holds that row once per unordered
+group pair, a level-pair block: at most K(K+1)/2 rows for K groups.
+Statistics are block tie counts times the table, a change row is a table
+lookup, and the dyad design matrix gathers the table per dyad; gwdegree
+is added from the degrees. Dyad-independent pseudo-likelihood fits and
+exact simulation work on the blocks and never build per-dyad rows.
 """
 
 from __future__ import annotations
@@ -139,23 +149,54 @@ def _gw_weights(decay: float, max_degree: int) -> np.ndarray:
     return np.exp(decay) * (1.0 - (1.0 - np.exp(-decay)) ** k)
 
 
-class _CompiledTerm:
-    __slots__ = ("term", "offset", "width", "names")
+def _term_columns(
+    term: TermSpec, col: CategoricalColumn | None, ca: np.ndarray, cb: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """Statistic names of one term and its change rows for endpoint levels (ca, cb).
 
-    def __init__(self, term: TermSpec, offset: int, width: int, names: list[str]):
-        self.term = term
-        self.offset = offset
-        self.width = width
-        self.names = names
+    ``ca`` and ``cb`` hold the term column's level codes at the two ends of
+    each level pair. The gwdegree column is zero: its change depends on the
+    endpoint degrees, not their levels, and is added where they are known.
+    """
+    if isinstance(term, Edges):
+        return ["edges"], np.ones((len(ca), 1))
+    if isinstance(term, GwDegree):
+        return ["gwdegree"], np.zeros((len(ca), 1))
+    levels = col.levels
+    L = len(levels)
+    one_hot = np.eye(L)
+    if isinstance(term, NodeMatch):
+        match = (ca == cb)[:, None]
+        if term.differential:
+            names = [f"nodematch.{term.attr}.{lev}" for lev in levels]
+            return names, one_hot[ca] * match
+        return [f"nodematch.{term.attr}"], match.astype(np.float64)
+    if isinstance(term, NodeFactor):
+        ref = col.level_index(term.reference)
+        keep = [k for k in range(L) if k != ref]
+        names = [f"nodefactor.{term.attr}.{levels[k]}" for k in keep]
+        return names, (one_hot[ca] + one_hot[cb])[:, keep]
+    if isinstance(term, NodeMix):
+        ref_pair = tuple(sorted(col.level_index(r) for r in term.reference))
+        pairs = [(a, b) for a in range(L) for b in range(a, L) if (a, b) != ref_pair]
+        names = [f"nodemix.{term.attr}.{levels[a]}.{levels[b]}" for a, b in pairs]
+        lo = np.array([a for a, _ in pairs], dtype=np.int64)
+        hi = np.array([b for _, b in pairs], dtype=np.int64)
+        rows = (np.minimum(ca, cb)[:, None] == lo) & (np.maximum(ca, cb)[:, None] == hi)
+        return names, rows.astype(np.float64)
+    raise TypeError(f"unknown term {term!r}")
 
 
 class CompiledModel:
-    """A model bound to an attribute table, ready for fast evaluation.
+    """A model bound to an attribute table, compiled to its level-pair table.
 
     Validates once that the table has one row per node (a table without
-    columns fits any size), level references and completeness; exposes
-    vectorized statistics, per-dyad change rows, and the full dyad design
-    matrix.
+    columns fits any size), level references and completeness. Each node
+    gets a group: its joint level over the columns the model uses, numbered
+    over the joint levels that occur. ``table[pair]`` is the change-statistic
+    row of every dyad between the two groups of an unordered group pair
+    (gwdegree column zero); ``pair[a, b]`` numbers the pairs (a <= b
+    lexicographically) and ``group[i]`` is node i's group.
     """
 
     def __init__(self, model: ModelSpec, attrs: AttributeTable, n: int):
@@ -165,144 +206,94 @@ class CompiledModel:
             )
         self.model = model
         self.n = n
-        self._compiled: list[_CompiledTerm] = []
-        self._codes: dict[str, np.ndarray] = {}
-        self._levels: dict[str, tuple[str, ...]] = {}
-        names: list[str] = []
-        offset = 0
+        columns: dict[str, CategoricalColumn] = {}
         for term in model.terms:
-            if isinstance(term, (NodeMatch, NodeFactor, NodeMix)):
-                col = self._categorical(term.attr, attrs)
-                levels = col.levels
-            if isinstance(term, Edges):
-                tnames = ["edges"]
-            elif isinstance(term, NodeMatch):
-                if term.differential:
-                    tnames = [f"nodematch.{term.attr}.{lev}" for lev in levels]
-                else:
-                    tnames = [f"nodematch.{term.attr}"]
-            elif isinstance(term, NodeFactor):
-                ref = col.level_index(term.reference)
-                tnames = [
-                    f"nodefactor.{term.attr}.{lev}"
-                    for k, lev in enumerate(levels)
-                    if k != ref
-                ]
-            elif isinstance(term, NodeMix):
-                ra = col.level_index(term.reference[0])
-                rb = col.level_index(term.reference[1])
-                ref_pair = (min(ra, rb), max(ra, rb))
-                tnames = [
-                    f"nodemix.{term.attr}.{levels[a]}.{levels[b]}"
-                    for a in range(len(levels))
-                    for b in range(a, len(levels))
-                    if (a, b) != ref_pair
-                ]
-            elif isinstance(term, GwDegree):
-                tnames = ["gwdegree"]
-            else:
-                raise TypeError(f"unknown term {term!r}")
-            self._compiled.append(_CompiledTerm(term, offset, len(tnames), tnames))
+            attr = getattr(term, "attr", None)
+            if attr is not None and attr not in columns:
+                columns[attr] = _categorical(attr, attrs)
+        joint = np.zeros(n, dtype=np.int64)
+        for col in columns.values():
+            # renumbered per column, so the code stays below n * levels
+            joint = np.unique(joint * len(col.levels) + col.codes, return_inverse=True)[1]
+        _, first, group = np.unique(joint, return_index=True, return_inverse=True)
+        self.group = group.reshape(-1)
+        K = len(first)
+        self._ends = a, b = np.triu_indices(K)
+        P = len(a)
+        self.pair = np.empty((K, K), dtype=np.int64)
+        self.pair[a, b] = np.arange(P)
+        self.pair[b, a] = np.arange(P)
+        names: list[str] = []
+        parts = [np.zeros((P, 0))]
+        self._gw_offset = None
+        self._w = None
+        self._wdiff = None
+        for term in model.terms:
+            col = columns.get(getattr(term, "attr", None))
+            # level of the term's column in each group (any node of it)
+            level = col.codes[first] if col is not None else np.zeros(K, dtype=np.int64)
+            tnames, rows = _term_columns(term, col, level[a], level[b])
+            if isinstance(term, GwDegree):
+                # gwdegree weight difference table: wdiff[k] = w(k+1) - w(k)
+                self._gw_offset = len(names)
+                self._w = _gw_weights(term.decay, n + 1)
+                self._wdiff = self._w[1:] - self._w[:-1]
             names.extend(tnames)
-            offset += len(tnames)
+            parts.append(rows)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate statistic names in model: {names}")
-        self.p = offset
+        self.p = len(names)
         self.stat_names = tuple(names)
-        # gwdegree weight difference table: wdiff[k] = w(k+1) - w(k)
-        self._wdiff = None
-        self._w = None
-        self._gw_offset = None
-        self._gw_theta_index = None
-        for ct in self._compiled:
-            if isinstance(ct.term, GwDegree):
-                w = _gw_weights(ct.term.decay, n + 1)
-                self._w = w
-                self._wdiff = w[1:] - w[:-1]
-                self._gw_offset = ct.offset
+        self.table = np.hstack(parts)
 
-    def _categorical(self, name: str, attrs: AttributeTable) -> CategoricalColumn:
-        if name not in attrs:
-            raise MissingAttribute(f"model references unknown column {name!r}")
-        col = attrs[name]
-        if not isinstance(col, CategoricalColumn):
-            raise MissingAttribute(f"model column {name!r} must be categorical")
-        if col.missing_mask().any():
-            missing = int(col.missing_mask().sum())
-            raise MissingAttribute(
-                f"column {name!r} has {missing} missing cells; complete or "
-                f"impute it before fitting"
-            )
-        self._codes[name] = col.codes
-        self._levels[name] = col.levels
-        return col
+    # ---- level-pair blocks ----------------------------------------------
+
+    def _require_dyads(self) -> None:
+        if self.n < 2:
+            raise TooFewNodes(f"a dyad design requires n >= 2 nodes, got n = {self.n}")
+
+    def block_ties(self, g: Graph) -> np.ndarray:
+        """Tie count of g in every level-pair block."""
+        if g.n != self.n:
+            raise ValueError("graph size does not match compiled model")
+        e = g.edge_array()
+        pair_ids = self.pair[self.group[e[:, 0]], self.group[e[:, 1]]]
+        return np.bincount(pair_ids, minlength=len(self.table))
+
+    def block_design(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Change rows, tie counts and dyad counts of the blocks holding dyads.
+
+        Built in O(n + m); gwdegree is not a function of the blocks, so its
+        column is zero here.
+        """
+        self._require_dyads()
+        size = np.bincount(self.group, minlength=len(self.pair))
+        a, b = self._ends
+        dyads = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
+        held = dyads > 0
+        ties = self.block_ties(g)[held].astype(np.float64)
+        return self.table[held], ties, dyads[held].astype(np.float64)
+
+    def dyad_blocks(self) -> np.ndarray:
+        """Block of every dyad, in lexicographic dyad order."""
+        self._require_dyads()
+        n, group = self.n, self.group
+        by_group = self.pair[group]  # (n, K): node i's block with each group
+        out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+        start = 0
+        for i in range(n - 1):
+            out[start : start + n - 1 - i] = by_group[i, group[i + 1 :]]
+            start += n - 1 - i
+        return out
 
     # ---- evaluation -----------------------------------------------------
 
     def statistics(self, g: Graph) -> np.ndarray:
-        """g(y, x) for one graph."""
-        if g.n != self.n:
-            raise ValueError("graph size does not match compiled model")
-        e = g.edge_array()
-        out = np.zeros(self.p)
-        for ct in self._compiled:
-            t = ct.term
-            if isinstance(t, Edges):
-                out[ct.offset] = len(e)
-            elif isinstance(t, NodeMatch):
-                c = self._codes[t.attr]
-                if len(e):
-                    ci, cj = c[e[:, 0]], c[e[:, 1]]
-                    match = ci == cj
-                    if t.differential:
-                        counts = np.bincount(
-                            ci[match], minlength=len(self._levels[t.attr])
-                        )
-                        out[ct.offset : ct.offset + ct.width] = counts
-                    else:
-                        out[ct.offset] = int(match.sum())
-            elif isinstance(t, NodeFactor):
-                c = self._codes[t.attr]
-                levels = self._levels[t.attr]
-                if len(e):
-                    inc = np.bincount(c[e[:, 0]], minlength=len(levels)) + np.bincount(
-                        c[e[:, 1]], minlength=len(levels)
-                    )
-                    ref = levels.index(t.reference)
-                    keep = [k for k in range(len(levels)) if k != ref]
-                    out[ct.offset : ct.offset + ct.width] = inc[keep]
-            elif isinstance(t, NodeMix):
-                c = self._codes[t.attr]
-                pair_pos = self._mix_positions(t)
-                if len(e):
-                    ci, cj = c[e[:, 0]], c[e[:, 1]]
-                    a = np.minimum(ci, cj)
-                    b = np.maximum(ci, cj)
-                    pos = pair_pos[a, b]
-                    valid = pos >= 0
-                    counts = np.bincount(pos[valid], minlength=ct.width)
-                    out[ct.offset : ct.offset + ct.width] = counts
-            elif isinstance(t, GwDegree):
-                out[ct.offset] = float(self._w[g.degrees()].sum())
+        """g(y, x) for one graph: block tie counts times the table, plus gwdegree."""
+        out = self.block_ties(g) @ self.table
+        if self._gw_offset is not None:
+            out[self._gw_offset] = float(self._w[g.degrees()].sum())
         return out
-
-    def _mix_positions(self, term: NodeMix) -> np.ndarray:
-        """(L, L) matrix mapping an unordered code pair to its statistic slot."""
-        levels = self._levels[term.attr]
-        L = len(levels)
-        ra = levels.index(term.reference[0])
-        rb = levels.index(term.reference[1])
-        ref_pair = (min(ra, rb), max(ra, rb))
-        pos = np.full((L, L), -1, dtype=np.int64)
-        k = 0
-        for a in range(L):
-            for b in range(a, L):
-                if (a, b) == ref_pair:
-                    continue
-                pos[a, b] = k
-                pos[b, a] = k
-                k += 1
-        return pos
 
     def change_row(
         self, i: int, j: int, base_degree_i: int, base_degree_j: int
@@ -312,44 +303,10 @@ class CompiledModel:
         ``base_degree_*`` are the endpoint degrees with the dyad itself
         absent; all other terms depend only on the endpoint attributes.
         """
-        row = np.zeros(self.p)
-        for ct in self._compiled:
-            t = ct.term
-            if isinstance(t, Edges):
-                row[ct.offset] = 1.0
-            elif isinstance(t, NodeMatch):
-                c = self._codes[t.attr]
-                if c[i] == c[j]:
-                    row[ct.offset + (c[i] if t.differential else 0)] += 1.0
-            elif isinstance(t, NodeFactor):
-                c = self._codes[t.attr]
-                colmap = self._factor_columns(t)
-                for node in (i, j):
-                    k = colmap[c[node]]
-                    if k >= 0:
-                        row[ct.offset + k] += 1.0
-            elif isinstance(t, NodeMix):
-                c = self._codes[t.attr]
-                pos = self._mix_positions(t)[c[i], c[j]]
-                if pos >= 0:
-                    row[ct.offset + pos] += 1.0
-            elif isinstance(t, GwDegree):
-                wd = self._wdiff
-                row[ct.offset] = wd[base_degree_i] + wd[base_degree_j]
+        row = self.table[self.pair[self.group[i], self.group[j]]].copy()
+        if self._gw_offset is not None:
+            row[self._gw_offset] = self._wdiff[base_degree_i] + self._wdiff[base_degree_j]
         return row
-
-    def _factor_columns(self, term: NodeFactor) -> np.ndarray:
-        """Level code -> statistic slot, -1 for the reference level."""
-        levels = self._levels[term.attr]
-        ref = levels.index(term.reference)
-        cols = np.full(len(levels), -1, dtype=np.int64)
-        k = 0
-        for lev in range(len(levels)):
-            if lev == ref:
-                continue
-            cols[lev] = k
-            k += 1
-        return cols
 
     def design_matrix(self, g: Graph) -> tuple[np.ndarray, np.ndarray]:
         """Change-statistic rows for every dyad plus observed tie labels.
@@ -358,53 +315,35 @@ class CompiledModel:
         For dyad-dependent terms the rest of the graph is held at its
         observed state with the dyad itself switched off.
         """
+        X = self.table[self.dyad_blocks()]
         n = self.n
-        if n < 2:
-            raise TooFewNodes(f"design matrix requires n >= 2 nodes, got n = {n}")
         iu, ju = np.triu_indices(n, k=1)
-        D = len(iu)
         adj = np.zeros((n, n), dtype=bool)
         e = g.edge_array()
-        if len(e):
-            adj[e[:, 0], e[:, 1]] = True
-            adj[e[:, 1], e[:, 0]] = True
+        adj[e[:, 0], e[:, 1]] = True
         y = adj[iu, ju].astype(np.float64)
-        X = np.zeros((D, self.p))
-        rows = np.arange(D)
-        for ct in self._compiled:
-            t = ct.term
-            if isinstance(t, Edges):
-                X[:, ct.offset] = 1.0
-            elif isinstance(t, NodeMatch):
-                c = self._codes[t.attr]
-                ci, cj = c[iu], c[ju]
-                match = ci == cj
-                if t.differential:
-                    X[rows[match], ct.offset + ci[match]] = 1.0
-                else:
-                    X[match, ct.offset] = 1.0
-            elif isinstance(t, NodeFactor):
-                c = self._codes[t.attr]
-                colmap = self._factor_columns(t)
-                for codes in (c[iu], c[ju]):
-                    k = colmap[codes]
-                    sel = k >= 0
-                    np.add.at(X, (rows[sel], ct.offset + k[sel]), 1.0)
-            elif isinstance(t, NodeMix):
-                c = self._codes[t.attr]
-                pos = self._mix_positions(t)[c[iu], c[ju]]
-                sel = pos >= 0
-                X[rows[sel], ct.offset + pos[sel]] = 1.0
-            elif isinstance(t, GwDegree):
-                degs = g.degrees()
-                di = degs[iu] - y.astype(np.int64)
-                dj = degs[ju] - y.astype(np.int64)
-                X[:, ct.offset] = self._wdiff[di] + self._wdiff[dj]
+        if self._gw_offset is not None:
+            present = y.astype(np.int64)
+            degs = g.degrees()
+            X[:, self._gw_offset] = (
+                self._wdiff[degs[iu] - present] + self._wdiff[degs[ju] - present]
+            )
         return X, y
 
 
-def compile_model(model: ModelSpec, attrs: AttributeTable, n: int) -> CompiledModel:
-    return CompiledModel(model, attrs, n)
+def _categorical(name: str, attrs: AttributeTable) -> CategoricalColumn:
+    if name not in attrs:
+        raise MissingAttribute(f"model references unknown column {name!r}")
+    col = attrs[name]
+    if not isinstance(col, CategoricalColumn):
+        raise MissingAttribute(f"model column {name!r} must be categorical")
+    if col.missing_mask().any():
+        missing = int(col.missing_mask().sum())
+        raise MissingAttribute(
+            f"column {name!r} has {missing} missing cells; complete or "
+            f"impute it before fitting"
+        )
+    return col
 
 
 def statistics(g: Graph, attrs: AttributeTable, model: ModelSpec) -> np.ndarray:
@@ -444,3 +383,12 @@ def dyad_list(n: int) -> np.ndarray:
     """All dyads in lexicographic order as an (n*(n-1)/2, 2) array."""
     iu, ju = np.triu_indices(n, k=1)
     return np.column_stack([iu, ju])
+
+
+def dyad_endpoints(n: int, d: np.ndarray) -> np.ndarray:
+    """Endpoints (i, j), i < j, of lexicographic dyad positions as a (len(d), 2) array."""
+    d = np.asarray(d, dtype=np.int64)
+    i = np.arange(n)
+    first = i * n - i * (i + 1) // 2  # position of dyad (i, i + 1)
+    i = np.searchsorted(first, d, side="right") - 1
+    return np.column_stack([i, d - first[i] + i + 1])

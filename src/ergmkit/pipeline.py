@@ -20,7 +20,16 @@ import numpy as np
 from . import __version__
 from .dataio import Schema, load_network, load_schema
 from .errors import ConfigError, ErgmkitError, UnknownLevel, UnmappedLabel
-from .fit import FitResult, GofReport, ScreenReport, fit_mcmle, fit_mple, gof, screen_univariate
+from .fit import (
+    FitResult,
+    GofReport,
+    ScreenReport,
+    fit_counters,
+    fit_mcmle,
+    fit_mple,
+    gof,
+    screen_univariate,
+)
 from .forest import ForestConfig
 from .graph import (
     AttributeTable,
@@ -32,6 +41,7 @@ from .graph import (
 )
 from .imputation import impute_missforest, impute_psm
 from .model import (
+    CompiledModel,
     Edges,
     GwDegree,
     ModelSpec,
@@ -39,7 +49,6 @@ from .model import (
     NodeMatch,
     NodeMix,
     TermSpec,
-    compile_model,
     term_from_dict,
     term_to_dict,
 )
@@ -423,7 +432,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
         if config.gwdegree is not None:
             model_terms.append(GwDegree(float(config.gwdegree)))
         model = ModelSpec(model_terms)
-        compile_model(model, attrs, g.n)  # fail here, not mid-fit
+        CompiledModel(model, attrs, g.n)  # fail here, not mid-fit
         _write_json(
             outdir / "model.json", {"terms": [term_to_dict(t) for t in model.terms]}
         )
@@ -434,6 +443,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
         else:
             fit_result = fit_mple(g, attrs, model)
         report.fit = fit_result
+        summary["stages"]["fit"] = fit_counters(fit_result)
         _write(outdir / f"fit_{config.family}.csv", fit_result.to_csv())
         _write(outdir / f"fit_{config.family}.json", fit_result.to_json() + "\n")
 

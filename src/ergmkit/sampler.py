@@ -2,13 +2,14 @@
 
 ``simulate`` is the entry point. A dyad-independent model (no gwdegree
 term) makes every dyad an independent Bernoulli(sigmoid(delta_ij . theta))
-variable, so its graphs are drawn exactly: the tie probabilities are
-computed once from the empty-graph design matrix, and each retained
-sample takes one block of uniforms from the PCG64 stream seeded from
-SamplerConfig.seed and keeps the dyads whose uniform falls below their
-probability. Samples are independent. Models with gwdegree run the
-Metropolis-Hastings chain of ``sample``, which is also the kernel of
-MC-MLE; ``burn_in``/``thin`` apply only to MC-MLE and gwdegree models.
+variable, so its graphs are drawn exactly: the tie probability is
+computed once per level-pair block of the compiled model and gathered per
+dyad, and each retained sample takes one run of D uniforms from the PCG64
+stream seeded from SamplerConfig.seed and keeps the dyads whose uniform
+falls below their probability. Samples are independent. Models with
+gwdegree run the Metropolis-Hastings chain of ``sample``, which is also
+the kernel of MC-MLE; ``burn_in``/``thin`` apply only to MC-MLE and
+gwdegree models.
 
 The MH kernel proposes a uniformly random dyad toggle and accepts with
 probability min(1, exp(s * theta . delta)), where delta is the dyad's
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ConfigError
 from .graph import AttributeTable, Graph
 from .logistic import sigmoid
-from .model import CompiledModel, ModelSpec, compile_model, dyad_index, dyad_list
+from .model import CompiledModel, ModelSpec, dyad_endpoints, dyad_index, dyad_list
 
 _BLOCK = 1 << 15
 
@@ -69,7 +70,7 @@ class ChainState:
     """Private mutable chain state: dyad bits, degrees, running statistics."""
 
     def __init__(self, g0: Graph, theta: np.ndarray, model: ModelSpec, attrs: AttributeTable):
-        cm = compile_model(model, attrs, g0.n)
+        cm = CompiledModel(model, attrs, g0.n)
         theta = _checked_theta(theta, cm)
         self.n = g0.n
         self.cm = cm
@@ -81,11 +82,16 @@ class ChainState:
         for i, j in g0.edges:
             self.bits[dyad_index(g0.n, i, j)] = 1
         self.deg = [int(d) for d in g0.degrees()]
-        # static part: change rows of every dyad-independent term; these do
-        # not depend on the current graph so they are computed once
-        X = _static_rows(cm)
-        self.eta = [float(v) for v in X @ theta]
-        self.sparse = _sparsify(X)
+        # static part: each dyad shares its block's attribute-term change
+        # row (nonzero entries only) and log-odds, computed once per block
+        blocks = cm.dyad_blocks().tolist()
+        block_rows = [
+            tuple((int(k), float(row[k])) for k in np.flatnonzero(row))
+            for row in cm.table
+        ]
+        block_eta = (cm.table @ theta).tolist()
+        self.eta = [block_eta[b] for b in blocks]
+        self.sparse = [block_rows[b] for b in blocks]
         self.gw_offset = cm._gw_offset
         if self.gw_offset is not None:
             self.theta_gw = float(theta[self.gw_offset])
@@ -106,10 +112,12 @@ class ChainState:
 
 def _checked_theta(theta: np.ndarray, cm: CompiledModel) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (cm.p,):
+        raise ConfigError(
+            f"theta has {theta.size} entries, the model needs {cm.p}: {list(cm.stat_names)}"
+        )
     if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    if len(theta) != cm.p:
-        raise ValueError(f"theta has length {len(theta)}, model needs {cm.p}")
+        raise ConfigError("theta must be finite")
     return theta
 
 
@@ -120,22 +128,6 @@ def _revalidated(cm: CompiledModel, g: Graph, stats: np.ndarray, tol: float) -> 
     if drift > tol:
         raise RuntimeError(f"incremental statistic drift {drift:g} exceeds {tol:g}")
     return fresh
-
-
-def _static_rows(cm: CompiledModel) -> np.ndarray:
-    empty = Graph(cm.n)
-    X, _ = cm.design_matrix(empty)
-    if cm._gw_offset is not None:
-        X = X.copy()
-        X[:, cm._gw_offset] = 0.0
-    return X
-
-def _sparsify(X: np.ndarray) -> list[tuple[tuple[int, float], ...]]:
-    rows = []
-    for r in range(X.shape[0]):
-        nz = np.nonzero(X[r])[0]
-        rows.append(tuple((int(k), float(X[r, k])) for k in nz))
-    return rows
 
 
 def mh_step(state: ChainState, rng: np.random.Generator) -> bool:
@@ -226,25 +218,25 @@ def simulate(
 
     Dyad-independent models are drawn exactly and ``g0`` only fixes the
     node count; other models run ``sample`` from ``g0``. The statistics of
-    each draw are its summed change rows, checked against a full recompute
-    on the last draw. Fully determined by inputs + seed.
+    each draw are its block tie counts times the model's table, checked
+    against a full recompute on the last draw. Fully determined by inputs
+    + seed.
     """
     if not model.dyad_independent:
         return sample(g0, theta, model, attrs, cfg, keep_graphs)
-    cm = compile_model(model, attrs, g0.n)
+    cm = CompiledModel(model, attrs, g0.n)
     theta = _checked_theta(theta, cm)
-    X = _static_rows(cm)
-    prob = sigmoid(X @ theta)
-    dyads = dyad_list(cm.n)
+    blocks = cm.dyad_blocks()
+    prob = sigmoid(cm.table @ theta)[blocks]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     retained_stats = np.empty((cfg.sample_count, cm.p))
     graphs: list[Graph] = []
     for k in range(cfg.sample_count):
         on = np.flatnonzero(rng.random(len(prob)) < prob)
-        retained_stats[k] = X[on].sum(axis=0)
+        retained_stats[k] = np.bincount(blocks[on], minlength=len(cm.table)) @ cm.table
         if keep_graphs:
-            graphs.append(Graph(cm.n, dyads[on].tolist()))
-    last = graphs[-1] if keep_graphs else Graph(cm.n, dyads[on].tolist())
+            graphs.append(Graph(cm.n, dyad_endpoints(cm.n, on).tolist()))
+    last = graphs[-1] if keep_graphs else Graph(cm.n, dyad_endpoints(cm.n, on).tolist())
     _revalidated(cm, last, retained_stats[-1], 1e-9)
     return graphs, retained_stats
 

@@ -29,13 +29,13 @@ from ergmkit.forest import ForestConfig
 from ergmkit.graph import AttributeTable, Graph, categorical, continuous
 from ergmkit.imputation import impute_missforest, impute_psm
 from ergmkit.model import (
+    CompiledModel,
     Edges,
     GwDegree,
     ModelSpec,
     NodeFactor,
     NodeMatch,
     NodeMix,
-    compile_model,
     statistics,
 )
 from ergmkit.pipeline import load_config, run
@@ -255,7 +255,7 @@ def test_criterion_6_change_statistic_consistency():
         for n in range(2, 6):
             labels = [("a", "b", "c")[k % 3] for k in range(n)]
             attrs = AttributeTable([categorical("grp", ["a", "b", "c"], labels)])
-            cm = compile_model(model, attrs, n)
+            cm = CompiledModel(model, attrs, n)
             gw_col = cm.stat_names.index("gwdegree")
             int_cols = [k for k in range(cm.p) if k != gw_col]
             for g in graphs_on(n):

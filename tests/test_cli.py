@@ -139,6 +139,22 @@ class TestExitCodes:
         assert code == 4
         assert "n >= 2" in err
 
+    def test_wrong_theta_length_is_config_error(self, tmp_path, capsys):
+        # edges + differential nodematch on two levels has three statistics
+        spec = {
+            "n": 20,
+            "columns": {"sex": {"type": "categorical", "levels": ["m", "f"], "probs": [0.5, 0.5]}},
+            "model": [{"term": "edges"}, {"term": "nodematch", "attr": "sex"}],
+            "theta": [-1.5, 0.5, 0.5, 0.1],
+        }
+        p = tmp_path / "synth.json"
+        p.write_text(json.dumps(spec))
+        code, _, err = run_cli(
+            capsys, "synth", "--config", str(p), "--out", str(tmp_path / "s")
+        )
+        assert code == 2
+        assert "theta has 4 entries" in err
+
     def test_separation_maps_to_fit_code(self, tmp_path, capsys):
         # complete graph: the edges coefficient diverges
         n = 6

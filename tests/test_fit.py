@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from ergmkit.errors import Degeneracy, RankDeficient, Separation
+from ergmkit.errors import Degeneracy, RankDeficient, Separation, SingularInformation
 from ergmkit.exact import exact_mle
+import ergmkit.fit as fit_module
 from ergmkit.fit import (
     Z_95,
     dyad_probabilities,
+    fit_counters,
     fit_mcmle,
     fit_mple,
     gof,
@@ -66,6 +68,13 @@ class TestMple:
         d = 4 / 15
         r = fit_mple(g, attrs, ModelSpec([Edges()]))
         assert r.theta[0] == pytest.approx(math.log(d / (1 - d)), abs=1e-10)
+        # one block: no model column splits the nodes
+        assert fit_counters(r) == {
+            "method": "MPLE",
+            "dyads": 15,
+            "blocks": 1,
+            "iterations": r.diagnostics["iterations"],
+        }
 
     def test_published_scale_closed_form(self):
         # node/edge counts from the published full-network table
@@ -225,6 +234,39 @@ class TestMcmle:
         cfg = SamplerConfig(burn_in=1000, thin=10, sample_count=500, seed=4)
         with pytest.raises(Degeneracy):
             fit_mcmle(g, attrs, ModelSpec([Edges()]), cfg, theta0=np.array([-50.0]))
+
+    def test_singular_confirmation_covariance_names_statistics(self, monkeypatch):
+        # the sampled match count never moves off its observed value, so the
+        # statistics' covariance, the inverse of the reported one, is singular
+        attrs = two_level_attrs(5, 3)
+        model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
+        g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4)])
+        obs = statistics(g, attrs, model)
+        S = np.column_stack([obs[0] + np.array([-1.0, 1.0] * 50), np.full(100, obs[1])])
+
+        def constant_match(g0, theta, model, attrs, cfg, keep_graphs=True):
+            return [], S.copy()
+
+        monkeypatch.setattr(fit_module, "sample", constant_match)
+        cfg = SamplerConfig(burn_in=10, thin=2, sample_count=100, seed=1)
+        with pytest.raises(SingularInformation, match="nodematch.grp") as err:
+            fit_mcmle(g, attrs, model, cfg, theta0=np.array([-0.5, 0.2]))
+        assert "edges" not in str(err.value)
+        assert err.value.exit_code == 3
+
+    def test_round_and_proposal_counters(self):
+        attrs = two_level_attrs(5, 3)
+        model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
+        g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4)])
+        cfg = SamplerConfig(burn_in=200, thin=5, sample_count=2000, seed=3)
+        r = fit_mcmle(g, attrs, model, cfg)
+        rounds = r.diagnostics["iterations"]
+        assert r.diagnostics["proposals"] == (rounds + 1) * (200 + 5 * 2000)
+        assert fit_counters(r) == {
+            "method": "MCMLE",
+            "rounds": rounds,
+            "proposals": r.diagnostics["proposals"],
+        }
 
     def test_moment_condition_at_solution(self):
         attrs = two_level_attrs(5, 3)

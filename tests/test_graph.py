@@ -13,7 +13,6 @@ from ergmkit.graph import (
     categorical,
     connected_components,
     continuous,
-    degree_sequence,
     induced_subgraph,
     largest_connected_component,
     load_graph,
@@ -69,19 +68,19 @@ class TestLoadGraph:
 class TestDegreeSequence:
     def test_triangle(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert degree_sequence(g).tolist() == [2, 2, 2]
+        assert g.degrees().tolist() == [2, 2, 2]
 
     def test_star(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert degree_sequence(g).tolist() == [3, 1, 1, 1]
+        assert g.degrees().tolist() == [3, 1, 1, 1]
 
     def test_empty(self):
-        assert degree_sequence(Graph(5)).tolist() == [0] * 5
+        assert Graph(5).degrees().tolist() == [0] * 5
 
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_handshake_lemma(self, g):
-        assert int(degree_sequence(g).sum()) == 2 * g.edge_count
+        assert int(g.degrees().sum()) == 2 * g.edge_count
 
 
 class TestComponents:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ergmkit.errors import DataError, MissingAttribute, SelfLoop, TooFewNodes, UnknownLevel
 from ergmkit.graph import AttributeTable, Graph, categorical
 from ergmkit.model import (
+    CompiledModel,
     Edges,
     GwDegree,
     ModelSpec,
@@ -17,7 +18,6 @@ from ergmkit.model import (
     NodeMatch,
     NodeMix,
     change_statistics,
-    compile_model,
     dyad_design_matrix,
     dyad_index,
     dyad_list,
@@ -88,7 +88,7 @@ class TestStatistics:
     def test_nodemix_reference_pair_excluded(self):
         attrs = living_attrs(["own", "other", "homeless", "homeless"])
         model = ModelSpec([NodeMix("living", reference=("homeless", "homeless"))])
-        cm = compile_model(model, attrs, 4)
+        cm = CompiledModel(model, attrs, 4)
         assert "nodemix.living.homeless.homeless" not in cm.stat_names
         assert len(cm.stat_names) == 5
 
@@ -144,7 +144,7 @@ class TestStatistics:
         attrs = sex_attrs(["male", "female"])
         model = ModelSpec([NodeMatch("sex"), NodeMatch("sex")])
         with pytest.raises(ValueError):
-            compile_model(model, attrs, 2)
+            CompiledModel(model, attrs, 2)
 
 
 class TestChangeStatistics:
@@ -156,7 +156,7 @@ class TestChangeStatistics:
     def test_nodemix_coordinates(self):
         attrs = living_attrs(["own", "homeless", "other", "own"])
         model = ModelSpec([NodeMix("living", reference=("homeless", "homeless"))])
-        cm = compile_model(model, attrs, 4)
+        cm = CompiledModel(model, attrs, 4)
         d = change_statistics(Graph(4), attrs, model, (0, 1))
         hit = {name for name, v in zip(cm.stat_names, d) if v}
         assert hit == {"nodemix.living.own.homeless"}
@@ -195,9 +195,7 @@ class TestChangeStatistics:
         attrs = AttributeTable(
             [categorical("grp", ["a", "b", "c"], ["a", "b", "c", "a", "b", "c"])]
         )
-        from ergmkit.model import compile_model
-
-        cm = compile_model(FULL_MODEL, attrs, 6)
+        cm = CompiledModel(FULL_MODEL, attrs, 6)
         dyads = all_dyads(6)
         r = np.random.Generator(np.random.PCG64(42))
         for mask in r.integers(0, 1 << 15, size=200):
@@ -267,10 +265,10 @@ class TestChangeStatistics:
         )
         g = Graph(5, [(0, 3), (1, 4), (0, 1), (2, 3), (1, 2)])
         mix_model = ModelSpec([NodeMix("grp", reference=("a", "b"))])
-        cm = compile_model(mix_model, attrs, 5)
+        cm = CompiledModel(mix_model, attrs, 5)
         mix = dict(zip(cm.stat_names, statistics(g, attrs, mix_model)))
         match_model = ModelSpec([NodeMatch("grp", differential=True)])
-        cm2 = compile_model(match_model, attrs, 5)
+        cm2 = CompiledModel(match_model, attrs, 5)
         match = dict(zip(cm2.stat_names, statistics(g, attrs, match_model)))
         for lev in ("a", "b", "c"):
             assert mix[f"nodemix.grp.{lev}.{lev}"] == match[f"nodematch.grp.{lev}"]

@@ -346,6 +346,13 @@ class TestRun:
             "samples": 30,
             "proposals": 10 * 40**2 + 30 * 40**2,
         }
+        rounds = report.fit.diagnostics["iterations"]
+        # every round and the confirmation sample run one default chain
+        assert manifest["stages"]["fit"] == {
+            "method": "MCMLE",
+            "rounds": rounds,
+            "proposals": (rounds + 1) * (10 * 40**2 + 400 * 40**2),
+        }
 
     def test_gof_trace_written_when_requested(self, tmp_path):
         make_dataset(tmp_path, missing_rate=0.0)
@@ -360,3 +367,8 @@ class TestRun:
         assert len(trace) == 26  # header + one row per retained sample
         manifest = json.loads((tmp_path / "tr" / "manifest.json").read_text())
         assert manifest["stages"]["gof"] == {"simulator": "exact", "samples": 25, "proposals": 0}
+        n = manifest["stages"]["missing_policy"]["nodes"]
+        fit = manifest["stages"]["fit"]
+        assert fit["method"] == "MPLE" and fit["iterations"] >= 1
+        assert fit["dyads"] == n * (n - 1) // 2
+        assert 1 <= fit["blocks"] <= 21  # sex x living: at most 6 groups

@@ -209,3 +209,15 @@ class TestTooFewNodes:
     def test_exact_path(self, n):
         with pytest.raises(TooFewNodes):
             simulate(Graph(n), np.zeros(1), EDGES, two_level_attrs(n, n), SamplerConfig())
+
+
+class TestBadTheta:
+    @pytest.mark.parametrize(
+        "theta", [[-1.0, 0.5, 0.2, 0.1], [-1.0, np.nan, 0.2], [np.inf, 0.5, 0.2], -1.0]
+    )
+    @pytest.mark.parametrize("run", [sample, simulate])
+    def test_wrong_length_or_non_finite_is_config_error(self, theta, run):
+        attrs = two_level_attrs(5, 3)
+        model = ModelSpec([Edges(), NodeMatch("grp")])
+        with pytest.raises(ConfigError, match="theta"):
+            run(Graph(5), np.array(theta), model, attrs, SamplerConfig())
