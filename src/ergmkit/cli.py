@@ -38,12 +38,7 @@ def _load_stats_graph(args) -> Graph:
 
         ids, _ = read_attribute_csv(args.attributes)
     else:
-        seen: list[str] = []
-        for a, b in pairs:
-            for v in (a, b):
-                if v not in seen:
-                    seen.append(v)
-        ids = seen
+        ids = list(dict.fromkeys(v for pair in pairs for v in pair))
     return load_graph(pairs, ids)
 
 
@@ -119,8 +114,7 @@ def _cmd_impute(args) -> int:
     if config.missing_policy == "complete_case":
         raise ConfigError("impute needs missing_policy psm or missforest")
     from .dataio import load_network
-    from .imputation import impute_missforest, impute_psm
-    from .pipeline import recode, rules_from_schema
+    from .pipeline import impute_attributes, recode, rules_from_schema
 
     schema = load_schema(config.schema)
     g, raw_attrs, ids = load_network(config.edges, config.attributes, schema)
@@ -128,21 +122,7 @@ def _cmd_impute(args) -> int:
     targets = list(config.imputation_targets) or [
         c for c in attrs.names if attrs[c].missing_mask().any()
     ]
-    covs = (
-        list(config.imputation_covariates)
-        if config.imputation_covariates is not None
-        else [c for c in attrs.names if c not in targets]
-    )
-    if config.missing_policy == "psm":
-        diag = {}
-        for t in targets:
-            res = impute_psm(attrs, t, covs, seed=config.seed)
-            attrs = res.completed
-            diag[t] = res.diagnostics
-    else:
-        res = impute_missforest(attrs, targets, covs, forest=config.forest, seed=config.seed)
-        attrs = res.completed
-        diag = res.diagnostics
+    attrs, diag = impute_attributes(attrs, targets, config)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_attribute_csv(outdir / "attributes_completed.csv", attrs, ids)

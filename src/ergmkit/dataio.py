@@ -54,9 +54,6 @@ class Schema:
                 return c
         raise ConfigError(f"column {name!r} not declared in schema")
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
 
 def load_schema(path) -> Schema:
     with open(path, encoding="utf-8") as fh:
@@ -80,22 +77,6 @@ def load_schema(path) -> Schema:
         reference_levels=raw.get("reference_levels", {}),
         reference_pairs=pairs,
     )
-
-
-def schema_to_dict(schema: Schema) -> dict:
-    return {
-        "columns": {
-            c.name: (
-                {"type": "categorical", "levels": list(c.levels)}
-                if c.kind == "categorical"
-                else {"type": "continuous", "units": c.units}
-            )
-            for c in schema.columns
-        },
-        "recode": schema.recode,
-        "reference_levels": schema.reference_levels,
-        "reference_pairs": {k: list(v) for k, v in schema.reference_pairs.items()},
-    }
 
 
 def read_edge_csv(path) -> list[tuple[str, str]]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, Degeneracy, NonConvergence, SingularInformation
 from .graph import AttributeTable, Graph
-from .logistic import collinear_terms, fit_logistic, sigmoid
+from .logistic import collinear_terms, fit_logistic
 from .model import CompiledModel, Edges, ModelSpec, TermSpec, term_to_dict
 from .sampler import SamplerConfig, sample, simulate, write_stats_trace
 
@@ -151,21 +151,6 @@ def or_table(
             )
         )
     return tuple(rows)
-
-
-def dyad_probabilities(
-    g: Graph, attrs: AttributeTable, model: ModelSpec, theta: np.ndarray
-) -> np.ndarray:
-    """Conditional tie probability per dyad at the given parameters.
-
-    Dyad-independent models take one probability per level-pair block.
-    """
-    cm = CompiledModel(model, attrs, g.n)
-    theta = np.asarray(theta, dtype=np.float64)
-    if model.dyad_independent:
-        return sigmoid(cm.table @ theta)[cm.dyad_blocks()]
-    X, _ = cm.design_matrix(g)
-    return sigmoid(X @ theta)
 
 
 def fit_mple(g: Graph, attrs: AttributeTable, model: ModelSpec) -> FitResult:

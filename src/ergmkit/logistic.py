@@ -85,8 +85,11 @@ def _check_separation(
         col = X[:, k]
         hi0, lo0 = col[zeros].max(), col[zeros].min()
         hi1, lo1 = col[ones].max(), col[ones].min()
-        # complete one-column separation; quasi-complete cases are caught
-        # by the divergence guard inside the IRLS loop
+        # complete one-column separation only. Quasi-complete separation is
+        # not always caught: the IRLS divergence guard fires only if some
+        # |beta| passes 30 before the score falls below tol, and e.g. n = 3
+        # (levels a, a, b; edges + nodefactor, the one tie on an a-b dyad)
+        # stops at theta ~ (-20.2, 20.2) with no error (ROADMAP item 5)
         if hi0 < lo1 or hi1 < lo0:
             raise Separation(f"term {names[k]!r} perfectly predicts tie status")
 

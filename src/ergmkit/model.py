@@ -350,10 +350,6 @@ def statistics(g: Graph, attrs: AttributeTable, model: ModelSpec) -> np.ndarray:
     return CompiledModel(model, attrs, g.n).statistics(g)
 
 
-def stat_names(model: ModelSpec, attrs: AttributeTable, n: int | None = None) -> tuple[str, ...]:
-    return CompiledModel(model, attrs, attrs.n if n is None else n).stat_names
-
-
 def change_statistics(
     g: Graph, attrs: AttributeTable, model: ModelSpec, dyad: tuple[int, int]
 ) -> np.ndarray:

@@ -317,6 +317,32 @@ def _write_json(path: Path, obj) -> None:
     _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
+def impute_attributes(
+    attrs: AttributeTable, targets: list[str], config: RunConfig
+) -> tuple[AttributeTable, dict]:
+    """Complete the target columns by the config's imputation policy.
+
+    Covariates are ``config.imputation_covariates``, or every column that
+    is not a target. PSM imputes one target at a time and its diagnostics
+    are keyed by target; missForest imputes the targets together and
+    returns its own diagnostics (no targets is a ``ConfigError`` there).
+    """
+    covs = (
+        list(config.imputation_covariates)
+        if config.imputation_covariates is not None
+        else [c for c in attrs.names if c not in targets]
+    )
+    if config.missing_policy == "psm":
+        diag = {}
+        for t in targets:
+            res = impute_psm(attrs, t, covs, seed=config.seed)
+            attrs = res.completed
+            diag[t] = res.diagnostics
+        return attrs, diag
+    res = impute_missforest(attrs, targets, covs, forest=config.forest, seed=config.seed)
+    return res.completed, res.diagnostics
+
+
 @dataclass
 class RunReport:
     outdir: Path
@@ -391,24 +417,13 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
                 targets = [
                     name for name in modeled if attrs[name].missing_mask().any()
                 ]
-            covs = (
-                list(config.imputation_covariates)
-                if config.imputation_covariates is not None
-                else [c for c in attrs.names if c not in targets]
-            )
             diag: dict = {"policy": config.missing_policy, "targets": targets}
             if targets:
+                attrs, method_diag = impute_attributes(attrs, targets, config)
                 if config.missing_policy == "psm":
-                    for t in targets:
-                        res = impute_psm(attrs, t, covs, seed=config.seed)
-                        attrs = res.completed
-                        diag[t] = res.diagnostics
+                    diag.update(method_diag)
                 else:
-                    res = impute_missforest(
-                        attrs, targets, covs, forest=config.forest, seed=config.seed
-                    )
-                    attrs = res.completed
-                    diag["missforest"] = res.diagnostics
+                    diag["missforest"] = method_diag
             _write_json(outdir / "imputation.json", diag)
             summary["stages"]["missing_policy"] = {
                 "policy": config.missing_policy,

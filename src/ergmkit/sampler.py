@@ -11,11 +11,18 @@ gwdegree run the Metropolis-Hastings chain of ``sample``, which is also
 the kernel of MC-MLE; ``burn_in``/``thin`` apply only to MC-MLE and
 gwdegree models.
 
-The MH kernel proposes a uniformly random dyad toggle and accepts with
+The MH kernel, the proposal loop of ``sample`` and the only place the
+toggle rule runs, proposes a uniformly random dyad toggle and accepts with
 probability min(1, exp(s * theta . delta)), where delta is the dyad's
 change statistic and s is +1 for adding the edge, -1 for removing it. This
 is the conditional log-odds form, so detailed balance with respect to the
-model distribution holds by construction.
+model distribution holds by construction. The chain keeps the sufficient
+statistic the rest of the package uses, as running sums that accepted
+toggles move (as in ergm): each dyad knows only its level-pair block,
+whose log-odds theta . delta without gwdegree is computed once; a toggle
+moves the block's tie count, the two degrees and the gwdegree statistic;
+a retained sample's statistics are the tie counts times the compiled
+table, with the gwdegree entry set.
 
 Randomness comes from numpy's PCG64 stream seeded from SamplerConfig.seed;
 proposal dyads and acceptance uniforms are drawn in blocks, in that order,
@@ -33,7 +40,7 @@ import numpy as np
 from .errors import ConfigError
 from .graph import AttributeTable, Graph
 from .logistic import sigmoid
-from .model import CompiledModel, ModelSpec, dyad_endpoints, dyad_index, dyad_list
+from .model import CompiledModel, ModelSpec, dyad_endpoints, dyad_index
 
 _BLOCK = 1 << 15
 
@@ -67,47 +74,47 @@ class SamplerConfig:
 
 
 class ChainState:
-    """Private mutable chain state: dyad bits, degrees, running statistics."""
+    """Private mutable chain state on the compiled model's level-pair blocks.
+
+    Per dyad: its ``(i, j, block)`` entry and its bit. Per block: the
+    log-odds ``eta = table . theta`` of every term but gwdegree, and the
+    tie count. Per node: the degree. With gwdegree, also its running
+    statistic, which accepted toggles move. The statistics are the tie
+    counts times the table with the gwdegree entry set, the same sufficient
+    statistic as ``CompiledModel.statistics``.
+    """
 
     def __init__(self, g0: Graph, theta: np.ndarray, model: ModelSpec, attrs: AttributeTable):
         cm = CompiledModel(model, attrs, g0.n)
         theta = _checked_theta(theta, cm)
         self.n = g0.n
         self.cm = cm
-        self.theta = theta
-        self.dyads = dyad_list(g0.n)
-        self.dyad_pairs = [(int(a), int(b)) for a, b in self.dyads]
+        iu, ju = np.triu_indices(g0.n, k=1)
+        self.dyads = list(zip(iu.tolist(), ju.tolist(), cm.dyad_blocks().tolist()))
         self.D = len(self.dyads)
         self.bits = [0] * self.D
         for i, j in g0.edges:
             self.bits[dyad_index(g0.n, i, j)] = 1
         self.deg = [int(d) for d in g0.degrees()]
-        # static part: each dyad shares its block's attribute-term change
-        # row (nonzero entries only) and log-odds, computed once per block
-        blocks = cm.dyad_blocks().tolist()
-        block_rows = [
-            tuple((int(k), float(row[k])) for k in np.flatnonzero(row))
-            for row in cm.table
-        ]
-        block_eta = (cm.table @ theta).tolist()
-        self.eta = [block_eta[b] for b in blocks]
-        self.sparse = [block_rows[b] for b in blocks]
+        self.eta = (cm.table @ theta).tolist()
+        self.ties = cm.block_ties(g0).tolist()
         self.gw_offset = cm._gw_offset
         if self.gw_offset is not None:
             self.theta_gw = float(theta[self.gw_offset])
             self.wdiff = [float(v) for v in cm._wdiff]
+            self.gw = float(cm.statistics(g0)[self.gw_offset])
         else:
             self.theta_gw = 0.0
             self.wdiff = None
-        self.stats = cm.statistics(g0)
+
+    def statistics(self) -> np.ndarray:
+        out = np.array(self.ties) @ self.cm.table
+        if self.gw_offset is not None:
+            out[self.gw_offset] = self.gw
+        return out
 
     def graph(self) -> Graph:
-        edges = [tuple(self.dyads[d]) for d in range(self.D) if self.bits[d]]
-        return Graph(self.n, edges)
-
-    def revalidate(self, tol: float = 1e-9) -> None:
-        """Check incrementally maintained statistics against a recompute."""
-        self.stats = _revalidated(self.cm, self.graph(), self.stats, tol)
+        return Graph(self.n, [(i, j) for (i, j, _), bit in zip(self.dyads, self.bits) if bit])
 
 
 def _checked_theta(theta: np.ndarray, cm: CompiledModel) -> np.ndarray:
@@ -130,41 +137,6 @@ def _revalidated(cm: CompiledModel, g: Graph, stats: np.ndarray, tol: float) -> 
     return fresh
 
 
-def mh_step(state: ChainState, rng: np.random.Generator) -> bool:
-    """One toggle proposal; the state is updated in place on acceptance."""
-    d = int(rng.integers(0, state.D))
-    u = float(rng.random())
-    return _apply(state, d, u)
-
-
-def _apply(state: ChainState, d: int, u: float) -> bool:
-    bits = state.bits
-    bit = bits[d]
-    i, j = state.dyad_pairs[d]
-    deg = state.deg
-    if bit:
-        sign = -1
-        bi, bj = deg[i] - 1, deg[j] - 1
-    else:
-        sign = 1
-        bi, bj = deg[i], deg[j]
-    gw = 0.0
-    if state.wdiff is not None:
-        gw = state.wdiff[bi] + state.wdiff[bj]
-    logodds = sign * (state.eta[d] + state.theta_gw * gw)
-    if logodds < 0.0 and u >= math.exp(logodds):
-        return False
-    stats = state.stats
-    for k, v in state.sparse[d]:
-        stats[k] += sign * v
-    if state.gw_offset is not None:
-        stats[state.gw_offset] += sign * gw
-    deg[i] += sign
-    deg[j] += sign
-    bits[d] = 1 - bit
-    return True
-
-
 def sample(
     g0: Graph,
     theta: np.ndarray,
@@ -176,8 +148,12 @@ def sample(
     """Run one chain; return retained graphs and their statistic vectors.
 
     Retains a sample every ``thin`` proposals after ``burn_in`` proposals.
-    The statistics are maintained incrementally and re-validated against a
-    full recompute on the final sample. Fully determined by inputs + seed.
+    Each proposal toggles a uniform dyad with the rule in the module
+    docstring; an accepted toggle moves its block's tie count, the endpoint
+    degrees and the running gwdegree statistic. The statistics of each
+    retained sample are read off that state, and those of the last one are
+    checked against a full recompute of its graph. Fully determined by
+    inputs + seed.
     """
     state = ChainState(g0, theta, model, attrs)
     burn, thin = cfg.resolve(g0.n)
@@ -185,6 +161,8 @@ def sample(
     total = cfg.proposals(g0.n)
     retained_stats = np.empty((cfg.sample_count, state.cm.p))
     graphs: list[Graph] = []
+    dyads, bits, deg, eta, ties = state.dyads, state.bits, state.deg, state.eta, state.ties
+    wdiff, theta_gw, exp = state.wdiff, state.theta_gw, math.exp
     done = 0
     next_retain = burn + thin
     kept = 0
@@ -192,17 +170,28 @@ def sample(
         block = min(_BLOCK, total - done)
         ds = rng.integers(0, state.D, size=block).tolist()
         us = rng.random(block).tolist()
-        apply = _apply
-        for k in range(block):
-            apply(state, ds[k], us[k])
+        for d, u in zip(ds, us):
+            i, j, b = dyads[d]
+            bit = bits[d]
+            sign = 1 - 2 * bit
+            # gwdegree change at the endpoint degrees with the dyad absent
+            gw = wdiff[deg[i] - bit] + wdiff[deg[j] - bit] if wdiff is not None else 0.0
+            logodds = sign * (eta[b] + theta_gw * gw)
+            if not (logodds < 0.0 and u >= exp(logodds)):
+                bits[d] = 1 - bit
+                ties[b] += sign
+                deg[i] += sign
+                deg[j] += sign
+                if wdiff is not None:
+                    state.gw += sign * gw
             done += 1
             if done == next_retain:
-                retained_stats[kept] = state.stats
+                retained_stats[kept] = state.statistics()
                 if keep_graphs:
                     graphs.append(state.graph())
                 kept += 1
                 next_retain += thin
-    state.revalidate()
+    _revalidated(state.cm, state.graph(), state.statistics(), 1e-9)
     return graphs, retained_stats
 
 

@@ -47,6 +47,16 @@ class TestStats:
         assert code == 0
         assert json.loads(out)["node_count"] == g.n
 
+    def test_node_list_from_edge_endpoints(self, tmp_path, capsys):
+        g, _ = make_dataset(tmp_path, missing_rate=0.0)
+        rows = (tmp_path / "edges.csv").read_text().splitlines()[1:]
+        endpoints = {v for row in rows for v in row.split(",")}
+        code, out, _ = run_cli(capsys, "stats", "--edges", str(tmp_path / "edges.csv"))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["node_count"] == len(endpoints)
+        assert payload["edge_count"] == g.edge_count
+
     def test_lcc_scope(self, tmp_path, capsys):
         (tmp_path / "e.csv").write_text("source,target\na,b\nb,c\nx,y\n")
         (tmp_path / "n.txt").write_text("a\nb\nc\nx\ny\nz\n")

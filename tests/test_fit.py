@@ -11,7 +11,6 @@ from ergmkit.exact import exact_mle
 import ergmkit.fit as fit_module
 from ergmkit.fit import (
     Z_95,
-    dyad_probabilities,
     fit_counters,
     fit_mcmle,
     fit_mple,
@@ -21,6 +20,7 @@ from ergmkit.fit import (
 )
 from ergmkit.graph import AttributeTable, Graph, categorical
 from ergmkit.model import (
+    CompiledModel,
     Edges,
     GwDegree,
     ModelSpec,
@@ -290,8 +290,13 @@ class TestReferenceLevels:
         m_ref_b = ModelSpec([Edges(), NodeFactor("grp", reference="b")])
         fa = fit_mple(g, attrs, m_ref_a)
         fb = fit_mple(g, attrs, m_ref_b)
-        pa = dyad_probabilities(g, attrs, m_ref_a, fa.theta)
-        pb = dyad_probabilities(g, attrs, m_ref_b, fb.theta)
+
+        def tie_probabilities(model, theta):
+            X, _ = CompiledModel(model, attrs, g.n).design_matrix(g)
+            return 1.0 / (1.0 + np.exp(-(X @ theta)))
+
+        pa = tie_probabilities(m_ref_a, fa.theta)
+        pb = tie_probabilities(m_ref_b, fb.theta)
         np.testing.assert_allclose(pa, pb, atol=1e-9)
         # documented remap: switching the reference from a to b shifts the
         # intercept by 2*theta_b and every level coefficient by -theta_b

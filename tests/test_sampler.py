@@ -11,15 +11,13 @@ from ergmkit.exact import exact_distribution, exact_expected_stats, graph_bitmas
 from ergmkit.graph import Graph
 from ergmkit.model import Edges, GwDegree, ModelSpec, NodeMatch, statistics
 from ergmkit.sampler import (
-    ChainState,
     SamplerConfig,
-    mh_step,
     sample,
     simulate,
     simulation_counters,
 )
 
-from conftest import rng, two_level_attrs
+from conftest import two_level_attrs
 
 
 EDGES = ModelSpec([Edges()])
@@ -42,17 +40,19 @@ class TestConfig:
 class TestMhStep:
     def test_zero_theta_always_accepts(self):
         attrs = two_level_attrs(5, 3)
-        state = ChainState(Graph(5), np.zeros(1), EDGES, attrs)
-        r = rng(1)
-        assert all(mh_step(state, r) for _ in range(200))
+        cfg = SamplerConfig(burn_in=0, thin=1, sample_count=200, seed=1)
+        g0 = Graph(5)
+        graphs, _ = sample(g0, np.zeros(1), EDGES, attrs, cfg)
+        # every proposal is accepted, so each graph is one toggle from the last
+        for before, after in zip([g0] + graphs, graphs):
+            assert len(before.edges ^ after.edges) == 1
 
     def test_strongly_negative_edges_keeps_empty_graph_absorbing(self):
         attrs = two_level_attrs(5, 3)
-        state = ChainState(Graph(5), np.array([-50.0]), EDGES, attrs)
-        r = rng(2)
-        for _ in range(2000):
-            mh_step(state, r)
-        assert state.graph().edge_count == 0
+        cfg = SamplerConfig(burn_in=0, thin=1, sample_count=2000, seed=2)
+        graphs, stats = sample(Graph(5), np.array([-50.0]), EDGES, attrs, cfg)
+        assert all(g.edge_count == 0 for g in graphs)
+        assert not stats.any()
 
     def test_long_run_density_matches_logit(self):
         # independent dyads: long-run tie probability is sigmoid(theta);
@@ -135,6 +135,51 @@ class TestSample:
         before = set(g0.edges)
         sample(g0, np.zeros(1), EDGES, attrs, SamplerConfig(10, 2, 5, seed=3))
         assert set(g0.edges) == before
+
+
+class TestGoldenStream:
+    def test_gwdegree_chain_bits(self):
+        # pins the PCG64 proposal/uniform stream, the acceptance rule and the
+        # summation order of the running gwdegree statistic
+        attrs = two_level_attrs(8, 4)
+        model = ModelSpec([Edges(), NodeMatch("grp"), GwDegree(0.5)])
+        theta = np.array([-1.0, 0.6, 0.3, 0.4])
+        cfg = SamplerConfig(burn_in=200, thin=15, sample_count=25, seed=2024)
+        graphs, stats = sample(Graph(8, [(0, 1), (2, 5)]), theta, model, attrs, cfg)
+        want = np.array(
+            [
+                [12.0, 2.0, 3.0, 12.29239775875015],
+                [12.0, 3.0, 3.0, 12.161548287824989],
+                [7.0, 2.0, 3.0, 9.883513604641811],
+                [11.0, 3.0, 3.0, 11.9827615152578],
+                [8.0, 1.0, 2.0, 9.492717250903349],
+                [7.0, 4.0, 0.0, 8.431801066675352],
+                [12.0, 5.0, 3.0, 11.973744412788632],
+                [14.0, 6.0, 4.0, 12.447629707253279],
+                [9.0, 1.0, 3.0, 10.647535372649523],
+                [10.0, 1.0, 2.0, 11.528375990742436],
+                [9.0, 1.0, 2.0, 9.947102775418712],
+                [12.0, 2.0, 2.0, 11.865942665172602],
+                [11.0, 1.0, 1.0, 11.411557140657239],
+                [8.0, 1.0, 2.0, 10.670452285216545],
+                [11.0, 2.0, 2.0, 11.88885957773962],
+                [8.0, 2.0, 3.0, 9.586619188421524],
+                [6.0, 1.0, 4.0, 8.728695482895631],
+                [8.0, 0.0, 5.0, 8.516685901724358],
+                [8.0, 2.0, 2.0, 10.431801066675344],
+                [7.0, 3.0, 1.0, 8.813580317944638],
+                [9.0, 4.0, 4.0, 11.218739747250076],
+                [11.0, 5.0, 3.0, 11.88885957773961],
+                [11.0, 4.0, 3.0, 11.88885957773961],
+                [10.0, 3.0, 3.0, 11.434474053224248],
+                [13.0, 2.0, 3.0, 12.414230127206135],
+            ]
+        )
+        np.testing.assert_array_equal(stats, want)
+        assert sorted(graphs[-1].edges) == [
+            (0, 2), (0, 5), (1, 3), (1, 4), (1, 5), (1, 6), (2, 6),
+            (2, 7), (3, 5), (3, 7), (4, 5), (4, 6), (6, 7),
+        ]
 
 
 class TestSimulate:
