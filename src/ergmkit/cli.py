@@ -13,15 +13,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from .dataio import (
+    load_network,
     load_schema,
     read_edge_csv,
     write_attribute_csv,
     write_edge_csv,
+    write_schema,
 )
 from .errors import ConfigError, ErgmkitError
 from .graph import Graph, largest_connected_component, load_graph
 from .netstats import network_summary
-from .pipeline import RunConfig, load_config, run
+from .pipeline import RunConfig, impute_attributes, load_config, run
 from .synth import generate, spec_from_dict, spec_to_dict
 
 
@@ -113,12 +115,7 @@ def _cmd_impute(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     if config.missing_policy == "complete_case":
         raise ConfigError("impute needs missing_policy psm or missforest")
-    from .dataio import load_network
-    from .pipeline import impute_attributes, recode, rules_from_schema
-
-    schema = load_schema(config.schema)
-    g, raw_attrs, ids = load_network(config.edges, config.attributes, schema)
-    attrs = recode(raw_attrs, rules_from_schema(schema, raw_attrs))
+    _, attrs, ids = load_network(config.edges, config.attributes, load_schema(config.schema))
     targets = list(config.imputation_targets) or [
         c for c in attrs.names if attrs[c].missing_mask().any()
     ]
@@ -155,25 +152,8 @@ def _cmd_synth(args) -> int:
     (outdir / "truth.json").write_text(
         json.dumps(truth, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    # a matching schema so the dataset can feed the pipeline directly;
-    # reference levels default to each column's first declared level
-    from .graph import CategoricalColumn
-
-    columns = {}
-    refs = {}
-    for col in attrs.columns():
-        if isinstance(col, CategoricalColumn):
-            columns[col.name] = {"type": "categorical", "levels": list(col.levels)}
-            refs[col.name] = col.levels[0]
-        else:
-            columns[col.name] = {"type": "continuous", "units": col.units}
-    (outdir / "schema.json").write_text(
-        json.dumps(
-            {"columns": columns, "reference_levels": refs}, sort_keys=True, indent=2
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    # a matching schema so the dataset can feed the pipeline directly
+    write_schema(outdir / "schema.json", attrs)
     print(json.dumps({"out": str(outdir), "nodes": g.n, "edges": g.edge_count}, sort_keys=True))
     return 0
 

@@ -4,7 +4,8 @@ Edge lists are two-column CSVs with a ``source,target`` header. Attribute
 files put ids in the first column and one attribute per remaining column;
 an empty cell is a missing value. The schema JSON declares each column
 categorical (with level order) or continuous, plus optional recode maps
-and reference levels/pairs used by the model builders.
+and reference levels/pairs used by the model builders. Reading applies the
+recode maps, so every loaded categorical column is on its declared levels.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, UnmappedLabel
 from .graph import (
     AttributeTable,
     CategoricalColumn,
-    ContinuousColumn,
     Graph,
     categorical,
     continuous,
@@ -117,13 +117,14 @@ def read_attribute_csv(path) -> tuple[list[str], dict[str, list[str | None]]]:
     return ids, values
 
 
-def raw_attribute_table(
-    ids: list[str], values: dict[str, list[str | None]], schema: Schema
-) -> AttributeTable:
-    """Typed table of the raw data: continuous parsed, categorical as found.
+def attribute_table(values: dict[str, list[str | None]], schema: Schema) -> AttributeTable:
+    """Typed table on the schema's declared levels.
 
-    Raw categorical levels are the distinct observed labels in first
-    appearance order; the recode stage maps them onto the analysis levels.
+    Continuous cells are parsed as floats. A categorical cell takes its
+    column's ``recode`` target if the map has its label, else keeps the
+    label if it is a declared level; any other label raises
+    ``UnmappedLabel``, and a target that is not a declared level raises
+    ``UnknownLevel``.
     """
     cols = []
     for cs in schema.columns:
@@ -142,22 +143,27 @@ def raw_attribute_table(
             except ValueError as exc:
                 raise DataError(f"column {cs.name!r}: {exc}") from None
         else:
-            seen: list[str] = []
-            for v in vals:
-                if v is not None and v not in seen:
-                    seen.append(v)
-            cols.append(categorical(cs.name, seen, vals))
+            mapping = {lev: lev for lev in cs.levels}
+            mapping.update(schema.recode.get(cs.name, {}))
+            try:
+                labels = [None if v is None else mapping[v] for v in vals]
+            except KeyError as exc:
+                raise UnmappedLabel(
+                    f"column {cs.name!r}: raw label {exc.args[0]!r} neither recoded "
+                    f"nor a declared level"
+                ) from None
+            cols.append(categorical(cs.name, cs.levels, labels))
     return AttributeTable(cols)
 
 
 def load_network(
     edge_path, attr_path, schema: Schema
 ) -> tuple[Graph, AttributeTable, list[str]]:
-    """Graph plus raw attribute table, aligned on the attribute file's ids."""
+    """Graph plus attribute table on the schema's levels, aligned on file ids."""
     pairs = read_edge_csv(edge_path)
     ids, values = read_attribute_csv(attr_path)
     g = load_graph(pairs, ids)
-    return g, raw_attribute_table(ids, values, schema), ids
+    return g, attribute_table(values, schema), ids
 
 
 def write_edge_csv(path, g: Graph, ids: list[str] | None = None) -> None:
@@ -184,3 +190,21 @@ def write_attribute_csv(path, attrs: AttributeTable, ids: list[str] | None = Non
                     v = col.values[row]
                     cells.append("" if np.isnan(v) else repr(float(v)))
             writer.writerow(cells)
+
+
+def write_schema(path, attrs: AttributeTable) -> None:
+    """Schema declaring the table's columns as they are.
+
+    Each categorical column's reference level is its first level.
+    """
+    columns = {}
+    refs = {}
+    for col in attrs.columns():
+        if isinstance(col, CategoricalColumn):
+            columns[col.name] = {"type": "categorical", "levels": list(col.levels)}
+            refs[col.name] = col.levels[0]
+        else:
+            columns[col.name] = {"type": "continuous", "units": col.units}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"columns": columns, "reference_levels": refs}, fh, sort_keys=True, indent=2)
+        fh.write("\n")

@@ -62,7 +62,7 @@ class UnknownLevel(DataError):
 
 
 class UnmappedLabel(DataError):
-    """A recode rule does not cover a raw label present in the data."""
+    """A raw label is neither in its column's recode map nor a declared level."""
 
 
 # estimation

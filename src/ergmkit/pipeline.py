@@ -1,12 +1,13 @@
 """End-to-end analysis runs.
 
-Stage order: ingest, recode, scope selection (full network or largest
-connected component), missing-data policy (complete cases, propensity
-matching, or iterative forest imputation), model family fit, and
-goodness-of-fit, with every table written as CSV + JSON. A run is a pure
-function of (input files, config, seed): rerunning reproduces the output
-bytes. On a stage failure the partial outputs stay on disk next to a
-FAILED marker naming the stage.
+Stage order: ingest (which maps raw labels onto the schema's levels),
+scope selection (full network or largest connected component),
+missing-data policy (complete cases, propensity matching, or iterative
+forest imputation), model family fit, and goodness-of-fit, with every
+table written as CSV + JSON. A run is a pure function of (input files,
+config, seed): rerunning reproduces the output bytes. On a stage failure
+the partial outputs stay on disk next to a FAILED marker naming the
+stage.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import Schema, load_network, load_schema
-from .errors import ConfigError, ErgmkitError, UnknownLevel, UnmappedLabel
+from .errors import ConfigError, ErgmkitError
 from .fit import (
     FitResult,
     GofReport,
@@ -34,8 +35,6 @@ from .forest import ForestConfig
 from .graph import (
     AttributeTable,
     CategoricalColumn,
-    ContinuousColumn,
-    Graph,
     induced_subgraph,
     largest_connected_component,
 )
@@ -58,56 +57,6 @@ from .sampler import SamplerConfig, simulation_counters
 SCOPES = ("full", "lcc")
 POLICIES = ("complete_case", "psm", "missforest")
 FAMILIES = ("match", "factor", "mix", "final")
-
-
-@dataclass(frozen=True)
-class RecodeRule:
-    """Total map from raw labels to analysis levels for one column."""
-
-    column: str
-    mapping: dict[str, str]
-    target_levels: tuple[str, ...] | None = None
-
-
-def recode(attrs: AttributeTable, rules: list[RecodeRule]) -> AttributeTable:
-    """Collapse raw categorical levels into analysis levels.
-
-    Every raw label observed in a ruled column must appear in the rule's
-    mapping; unruled columns pass through unchanged.
-    """
-    by_col = {}
-    for rule in rules:
-        if rule.column in by_col:
-            raise ConfigError(f"duplicate recode rule for {rule.column!r}")
-        by_col[rule.column] = rule
-    new_cols = []
-    for col in attrs.columns():
-        rule = by_col.get(col.name)
-        if rule is None or not isinstance(col, CategoricalColumn):
-            new_cols.append(col)
-            continue
-        mapped = []
-        for raw in col.levels:
-            if raw not in rule.mapping:
-                raise UnmappedLabel(
-                    f"column {col.name!r}: raw label {raw!r} has no recode target"
-                )
-            mapped.append(rule.mapping[raw])
-        if rule.target_levels is not None:
-            targets = list(rule.target_levels)
-            for m in mapped:
-                if m not in targets:
-                    raise UnknownLevel(
-                        f"column {col.name!r}: recode target {m!r} not declared"
-                    )
-        else:
-            targets = list(dict.fromkeys(mapped))
-        old_to_new = np.array([targets.index(m) for m in mapped], dtype=np.int64)
-        codes = col.codes.copy()
-        obs = codes >= 0
-        codes[obs] = old_to_new[codes[obs]]
-        new_cols.append(CategoricalColumn(col.name, tuple(targets), codes))
-    return AttributeTable(new_cols)
 
 
 def summarize_attributes(attrs: AttributeTable) -> dict:
@@ -240,29 +189,6 @@ def load_config(path) -> RunConfig:
         return config_from_dict(json.load(fh), base=p.parent)
 
 
-def rules_from_schema(schema: Schema, attrs: AttributeTable) -> list[RecodeRule]:
-    """One rule per declared categorical column: explicit map or identity."""
-    rules = []
-    for cs in schema.columns:
-        if cs.kind != "categorical":
-            continue
-        mapping = dict(schema.recode.get(cs.name, {}))
-        col = attrs[cs.name]
-        if not isinstance(col, CategoricalColumn):
-            continue
-        for raw in col.levels:
-            if raw not in mapping:
-                if raw in cs.levels:
-                    mapping[raw] = raw  # already an analysis level
-                else:
-                    raise UnmappedLabel(
-                        f"column {cs.name!r}: raw label {raw!r} neither recoded "
-                        f"nor a declared level"
-                    )
-        rules.append(RecodeRule(cs.name, mapping, target_levels=cs.levels))
-    return rules
-
-
 def build_family_terms(
     family: str,
     attributes_used: tuple[str, ...],
@@ -325,8 +251,11 @@ def impute_attributes(
     Covariates are ``config.imputation_covariates``, or every column that
     is not a target. PSM imputes one target at a time and its diagnostics
     are keyed by target; missForest imputes the targets together and
-    returns its own diagnostics (no targets is a ``ConfigError`` there).
+    returns its own diagnostics. With no targets the table comes back
+    unchanged with empty diagnostics, whatever the policy.
     """
+    if not targets:
+        return attrs, {}
     covs = (
         list(config.imputation_covariates)
         if config.imputation_covariates is not None
@@ -362,12 +291,8 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
     try:
         stage = "ingest"
         schema = load_schema(config.schema)
-        g, raw_attrs, ids = load_network(config.edges, config.attributes, schema)
+        g, attrs, ids = load_network(config.edges, config.attributes, schema)
         summary["stages"]["ingest"] = {"nodes": g.n, "edges": g.edge_count}
-
-        stage = "recode"
-        rules = rules_from_schema(schema, raw_attrs)
-        attrs = recode(raw_attrs, rules)
 
         stage = "scope"
         if config.scope == "lcc":
@@ -418,12 +343,11 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
                     name for name in modeled if attrs[name].missing_mask().any()
                 ]
             diag: dict = {"policy": config.missing_policy, "targets": targets}
-            if targets:
-                attrs, method_diag = impute_attributes(attrs, targets, config)
-                if config.missing_policy == "psm":
-                    diag.update(method_diag)
-                else:
-                    diag["missforest"] = method_diag
+            attrs, method_diag = impute_attributes(attrs, targets, config)
+            if config.missing_policy == "psm":
+                diag.update(method_diag)
+            elif targets:
+                diag["missforest"] = method_diag
             _write_json(outdir / "imputation.json", diag)
             summary["stages"]["missing_policy"] = {
                 "policy": config.missing_policy,

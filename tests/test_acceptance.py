@@ -13,7 +13,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 from scipy import stats as sps
 
 from ergmkit.cli import main as cli_main

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -14,6 +15,44 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the README's living recode map
+LIVING_RECODE = {
+    "on the streets": "homeless",
+    "in a shelter": "homeless",
+    "own apartment": "own place",
+    "someone else's apartment": "someone else",
+}
+
+
+def make_raw_label_dataset(tmp_path: Path, extra_label: str | None = None):
+    """The test dataset with living written as raw survey labels.
+
+    Homeless cells alternate between the two raw labels that map to
+    homeless; ``extra_label`` replaces the first cell's label.
+    """
+    make_dataset(tmp_path, missing_rate=0.1)
+    raw = {
+        "own": ["own apartment"],
+        "other": ["someone else's apartment"],
+        "homeless": ["on the streets", "in a shelter"],
+    }
+    with open(tmp_path / "attrs.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for k, row in enumerate(rows[1:]):
+        if row[2]:
+            choices = raw[row[2]]
+            row[2] = choices[k % len(choices)]
+    if extra_label is not None:
+        rows[1][2] = extra_label
+    with open(tmp_path / "attrs.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    schema["columns"]["living"]["levels"] = ["own place", "someone else", "homeless"]
+    schema["recode"] = {"living": LIVING_RECODE}
+    schema["reference_levels"]["living"] = "own place"
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
 
 
 class TestStats:
@@ -165,6 +204,13 @@ class TestExitCodes:
         assert code == 2
         assert "theta has 4 entries" in err
 
+    def test_unmapped_label_fails_at_ingest(self, tmp_path, capsys):
+        make_raw_label_dataset(tmp_path, extra_label="in a tent")
+        code, _, err = run_cli(capsys, "run", "--config", str(make_config(tmp_path)))
+        assert code == 4
+        assert "'in a tent'" in err
+        assert "stage: ingest" in (tmp_path / "out" / "FAILED").read_text()
+
     def test_separation_maps_to_fit_code(self, tmp_path, capsys):
         # complete graph: the edges coefficient diverges
         n = 6
@@ -245,6 +291,25 @@ class TestPipelineCommands:
         for line in completed.splitlines()[1:]:
             assert line.split(",")[2] != ""  # living column completed
 
+    def test_run_recodes_raw_labels(self, tmp_path, capsys):
+        make_raw_label_dataset(tmp_path)
+        code, _, _ = run_cli(capsys, "run", "--config", str(make_config(tmp_path)))
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "attribute_summary.json").read_text())
+        levels = [r["level"] for r in summary["columns"]["living"]["rows"]]
+        assert levels == ["own place", "someone else", "homeless", "Missing"]
+
+    def test_impute_complete_table_is_unchanged(self, tmp_path, capsys):
+        make_dataset(tmp_path, missing_rate=0.0)
+        for method in ("psm", "missforest"):
+            out = tmp_path / method
+            path = make_config(tmp_path, missing_policy=method, out=str(out))
+            code, stdout, err = run_cli(capsys, "impute", "--config", str(path))
+            assert code == 0, err
+            assert json.loads(stdout)["imputed_columns"] == []
+            completed = (out / "attributes_completed.csv").read_bytes()
+            assert completed == (tmp_path / "attrs.csv").read_bytes()
+
     def test_synth_emits_dataset(self, tmp_path, capsys):
         spec = {
             "n": 25,
@@ -265,6 +330,19 @@ class TestPipelineCommands:
         assert (out / "attributes.csv").exists()
         truth = json.loads((out / "truth.json").read_text())
         assert truth["nodes"] == 25
+        # the written schema lets the dataset feed the pipeline directly
+        cfg = {
+            "edges": "edges.csv",
+            "attributes": "attributes.csv",
+            "schema": "schema.json",
+            "attributes_used": ["sex"],
+            "fit": {"gof_samples": 10},
+            "out": "runout",
+        }
+        (out / "config.json").write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", "--config", str(out / "config.json"))
+        assert code == 0, err
+        assert (out / "runout" / "manifest.json").exists()
 
     def test_gof_prints_report(self, tmp_path, capsys):
         make_dataset(tmp_path, missing_rate=0.0)

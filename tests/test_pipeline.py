@@ -7,49 +7,51 @@ import numpy as np
 import pytest
 
 from ergmkit.dataio import (
-    Schema,
+    load_network,
     load_schema,
     read_attribute_csv,
     read_edge_csv,
     write_attribute_csv,
     write_edge_csv,
 )
-from ergmkit.errors import ConfigError, DataError, UnmappedLabel
+from ergmkit.errors import ConfigError, DataError, UnknownLevel, UnmappedLabel
 from ergmkit.graph import AttributeTable, categorical, continuous
 from ergmkit.model import Edges, ModelSpec, NodeMatch
 from ergmkit.pipeline import (
-    RecodeRule,
     RunConfig,
     attribute_summary_csv,
     config_from_dict,
     load_config,
-    recode,
     run,
     summarize_attributes,
 )
 from ergmkit.synth import CategoricalSpec, ContinuousSpec, MissingSpec, SynthSpec, generate
 
 
-class TestRecode:
-    def test_identity_mapping_unchanged(self):
-        attrs = AttributeTable([categorical("sex", ["m", "f"], ["m", "f", "m"])])
-        rule = RecodeRule("sex", {"m": "m", "f": "f"}, target_levels=("m", "f"))
-        out = recode(attrs, [rule])
-        assert out == attrs
+def load_labels(tmp_path: Path, column: dict, labels: list[str], recode=None):
+    """load_network on a one-column attribute file with no edges."""
+    (tmp_path / "edges.csv").write_text("source,target\n")
+    cells = "".join(f"{k},{'' if v is None else v}\n" for k, v in enumerate(labels))
+    (tmp_path / "attrs.csv").write_text("id,c\n" + cells)
+    schema = {"columns": {"c": column}, "recode": {"c": recode} if recode else {}}
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    _, attrs, _ = load_network(
+        tmp_path / "edges.csv", tmp_path / "attrs.csv", load_schema(tmp_path / "schema.json")
+    )
+    return attrs["c"]
 
-    def test_employment_collapse(self):
+
+class TestLoadNetwork:
+    def test_identity_labels_unchanged(self, tmp_path):
+        col = load_labels(
+            tmp_path, {"type": "categorical", "levels": ["m", "f"]}, ["m", "f", "m"]
+        )
+        assert col.levels == ("m", "f")
+        assert col.labels() == ["m", "f", "m"]
+
+    def test_employment_collapse(self, tmp_path):
         # published recoding folds retired, student, and homemaker into
         # the employed category
-        raw_levels = [
-            "unemployed",
-            "unable to work - disabled",
-            "regular full-time work",
-            "retired",
-            "student",
-            "homemaker",
-        ]
-        values = raw_levels + ["retired"]
-        attrs = AttributeTable([categorical("employment", raw_levels, values)])
         mapping = {
             "unemployed": "unemployed",
             "unable to work - disabled": "unemployed",
@@ -58,23 +60,49 @@ class TestRecode:
             "student": "employed",
             "homemaker": "employed",
         }
-        out = recode(
-            attrs,
-            [RecodeRule("employment", mapping, target_levels=("employed", "unemployed"))],
+        col = load_labels(
+            tmp_path,
+            {"type": "categorical", "levels": ["employed", "unemployed"]},
+            list(mapping) + ["retired"],
+            recode=mapping,
         )
-        labels = out["employment"].labels()
+        labels = col.labels()
         assert labels[3] == "employed" and labels[6] == "employed"
-        assert out["employment"].levels == ("employed", "unemployed")
+        assert labels[:2] == ["unemployed", "unemployed"]
+        assert col.levels == ("employed", "unemployed")
 
-    def test_unmapped_label_rejected(self):
-        attrs = AttributeTable([categorical("c", ["x", "y"], ["x", "y"])])
-        with pytest.raises(UnmappedLabel):
-            recode(attrs, [RecodeRule("c", {"x": "x"})])
+    def test_unmapped_label_rejected(self, tmp_path):
+        with pytest.raises(UnmappedLabel, match="'y'"):
+            load_labels(
+                tmp_path, {"type": "categorical", "levels": ["x"]}, ["x", "y"]
+            )
 
-    def test_missing_cells_stay_missing(self):
-        attrs = AttributeTable([categorical("c", ["x", "y"], ["x", None, "y"])])
-        out = recode(attrs, [RecodeRule("c", {"x": "z", "y": "z"})])
-        assert out["c"].labels() == ["z", None, "z"]
+    def test_missing_cells_stay_missing(self, tmp_path):
+        col = load_labels(
+            tmp_path,
+            {"type": "categorical", "levels": ["z"]},
+            ["x", None, "y"],
+            recode={"x": "z", "y": "z"},
+        )
+        assert col.labels() == ["z", None, "z"]
+
+    def test_recode_map_wins_over_declared_label(self, tmp_path):
+        col = load_labels(
+            tmp_path,
+            {"type": "categorical", "levels": ["a", "b"]},
+            ["a", "b"],
+            recode={"a": "b"},
+        )
+        assert col.labels() == ["b", "b"]
+
+    def test_undeclared_recode_target_is_unknown_level(self, tmp_path):
+        with pytest.raises(UnknownLevel, match="'w' is not a declared level of 'c'"):
+            load_labels(
+                tmp_path,
+                {"type": "categorical", "levels": ["x"]},
+                ["x", "y"],
+                recode={"y": "w"},
+            )
 
 
 class TestSummaries:
