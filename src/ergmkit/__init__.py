@@ -20,7 +20,6 @@ from .model import (
     NodeMatch,
     NodeMix,
     change_statistics,
-    dyad_design_matrix,
     statistics,
 )
 from .netstats import NetworkSummary, network_summary
@@ -53,7 +52,6 @@ __all__ = [
     "change_statistics",
     "connected_components",
     "continuous",
-    "dyad_design_matrix",
     "fit_mcmle",
     "fit_mple",
     "gof",

@@ -71,6 +71,9 @@ def load_schema(path) -> Schema:
     pairs = {
         k: (v[0], v[1]) for k, v in raw.get("reference_pairs", {}).items()
     }
+    stray = set(raw.get("recode", {})) - {c.name for c in columns if c.kind == "categorical"}
+    if stray:
+        raise ConfigError(f"recode maps for {sorted(stray)}: not declared categorical columns")
     return Schema(
         columns=tuple(columns),
         recode=raw.get("recode", {}),
@@ -108,9 +111,11 @@ def read_attribute_csv(path) -> tuple[list[str], dict[str, list[str | None]]]:
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {row!r} has {len(row)} fields, header {len(header)}")
             ids.append(row[0].strip())
-            for k, name in enumerate(names):
-                cell = row[k + 1].strip() if k + 1 < len(row) else ""
+            for name, cell in zip(names, row[1:]):
+                cell = cell.strip()
                 values[name].append(cell if cell != "" else None)
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate node ids")

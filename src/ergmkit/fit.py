@@ -1,9 +1,9 @@
 """Model estimation and reporting.
 
 Two estimators share the reporting contract: maximum pseudo-likelihood
-(logistic regression of observed dyads on change statistics, exact for
-dyad-independent models, whose dyads it fits grouped into level-pair
-blocks) and Monte Carlo maximum likelihood, which
+(logistic regression of observed dyads on change statistics, fitted on
+the dyads grouped by change row and tie state; exact for
+dyad-independent models) and Monte Carlo maximum likelihood, which
 iterates sampling at a reference parameter and maximizing the
 importance-sampled log-likelihood ratio
 
@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, Degeneracy, NonConvergence, SingularInformation
+from .errors import ConfigError, Degeneracy, NonConvergence, Separation, SingularInformation
 from .graph import AttributeTable, Graph
-from .logistic import collinear_terms, fit_logistic
+from .logistic import collinear_terms, fit_logistic, sigmoid
 from .model import CompiledModel, Edges, ModelSpec, TermSpec, term_to_dict
 from .sampler import SamplerConfig, sample, simulate, write_stats_trace
 
@@ -154,22 +154,23 @@ def or_table(
 
 
 def fit_mple(g: Graph, attrs: AttributeTable, model: ModelSpec) -> FitResult:
-    """Maximum pseudo-likelihood via IRLS.
+    """Maximum pseudo-likelihood via IRLS on the grouped design.
 
-    A dyad-independent model is fitted on its level-pair blocks: one row
-    per block holding dyads, with the block's dyad count as the trials and
-    its tie count as the successes, which is the dyad-level
-    pseudo-likelihood regrouped; building it costs O(n + m). Models with
-    gwdegree fit the dyad design matrix. ``diagnostics`` reports the dyads
-    and the rows fitted (``blocks``; one per dyad with gwdegree).
+    ``CompiledModel.design_matrix`` groups the dyads into rows of equal
+    change statistics and tie state, with the dyad count as the trials and
+    the tie count as the successes: the dyad-level pseudo-likelihood
+    regrouped, built in O(n + m + C^2) for C node classes. A fitted row
+    probability within 1e-8 of 0 or 1 means the data are quasi-separated
+    and no finite estimate exists; that raises ``Separation``.
+    ``diagnostics`` reports the dyads and the rows fitted (``blocks``).
     """
     cm = CompiledModel(model, attrs, g.n)
-    if model.dyad_independent:
-        X, y, trials = cm.block_design(g)
-    else:
-        X, y = cm.design_matrix(g)
-        trials = np.ones(len(y))
+    X, y, trials = cm.design_matrix(g)
     lf = fit_logistic(X, y, names=list(cm.stat_names), trials=trials)
+    mu = sigmoid(X @ lf.beta)
+    if np.any(np.minimum(mu, 1.0 - mu) < 1e-8):
+        worst = cm.stat_names[int(np.argmax(np.abs(lf.beta)))]
+        raise Separation(f"fitted tie probabilities reach 0 or 1; term {worst!r} diverges")
     return FitResult(
         theta=lf.beta,
         covariance=lf.covariance,

@@ -2,10 +2,10 @@
 
 Rows are grouped: row r holds y_r successes out of trials_r Bernoulli
 trials that share the covariates X_r (trials default to 1, one Bernoulli
-row each). The pseudo-likelihood fitter passes one row per level-pair
-block of a dyad-independent model, with its dyad count as the trials and
-its tie count as y, or one row per dyad for gwdegree models; the
-propensity model passes one row per node. Grouping changes no estimate:
+row each). The pseudo-likelihood fitter passes the grouped dyad design
+(one row per pair of node classes, and per tie state with gwdegree, its
+dyad count as the trials and its tie count as y); the propensity model
+passes one row per node. Grouping changes no estimate:
 the log-likelihood, score and information are the per-trial sums.
 Convergence is on the score: max |X'(y - trials * mu)| <= tol. The
 reported covariance is the inverse observed information X' W X at the
@@ -43,11 +43,15 @@ def sigmoid(eta: np.ndarray) -> np.ndarray:
 def collinear_terms(X: np.ndarray, names: list[str], count: float | None = None) -> list[str]:
     """Sorted names of the columns in X's numerical null space; empty at full rank.
 
-    The tolerance is the largest singular value times max(count, columns)
-    times machine epsilon, with ``count`` the number of observations the
-    rows stand for (default: the row count).
+    Columns are scaled to unit maximum first. The tolerance is the largest
+    singular value times max(count, columns) times machine epsilon, with
+    ``count`` the number of observations the rows stand for (default: the
+    row count).
     """
     rows, p = X.shape
+    # a small independent column (gwdegree at high degrees) would tilt the
+    # computed null space onto its name; scaling keeps the involved columns
+    X = X / np.abs(X).max(axis=0, initial=np.finfo(float).tiny)  # zero columns stay zero
     if rows < p:
         X = np.vstack([X, np.zeros((p - rows, p))])  # X'X, so the null space, is unchanged
     _, s, vt = np.linalg.svd(X, full_matrices=False)
@@ -85,11 +89,9 @@ def _check_separation(
         col = X[:, k]
         hi0, lo0 = col[zeros].max(), col[zeros].min()
         hi1, lo1 = col[ones].max(), col[ones].min()
-        # complete one-column separation only. Quasi-complete separation is
-        # not always caught: the IRLS divergence guard fires only if some
-        # |beta| passes 30 before the score falls below tol, and e.g. n = 3
-        # (levels a, a, b; edges + nodefactor, the one tie on an a-b dyad)
-        # stops at theta ~ (-20.2, 20.2) with no error (ROADMAP item 5)
+        # complete one-column separation only; IRLS can converge on the flat
+        # ridge of quasi-separated data, which fit_mple catches from its
+        # saturated fitted probabilities
         if hi0 < lo1 or hi1 < lo0:
             raise Separation(f"term {names[k]!r} perfectly predicts tie status")
 

@@ -15,10 +15,12 @@ attribute columns the model uses (its group; only codes that occur are
 numbered), and every dyad between groups a and b has the same change row
 for every term but gwdegree. The table holds that row once per unordered
 group pair, a level-pair block: at most K(K+1)/2 rows for K groups.
-Statistics are block tie counts times the table, a change row is a table
-lookup, and the dyad design matrix gathers the table per dyad; gwdegree
-is added from the degrees. Dyad-independent pseudo-likelihood fits and
-exact simulation work on the blocks and never build per-dyad rows.
+Statistics are block tie counts times the table and a change row is a
+table lookup; gwdegree is added from the degrees. The pseudo-likelihood
+design is grouped, never per dyad: one row per pair of node classes (a
+class is a group, or with gwdegree a (group, degree) pair) and, with
+gwdegree, per tie state, counted from class sizes and the edge list.
+Exact simulation works on the blocks.
 """
 
 from __future__ import annotations
@@ -104,13 +106,9 @@ class ModelSpec:
         object.__setattr__(self, "terms", terms)
 
     @property
-    def has_gwdegree(self) -> bool:
-        return any(isinstance(t, GwDegree) for t in self.terms)
-
-    @property
     def dyad_independent(self) -> bool:
         """True when no term's change statistic depends on the rest of y."""
-        return not self.has_gwdegree
+        return not any(isinstance(t, GwDegree) for t in self.terms)
 
 
 def term_to_dict(term: TermSpec) -> dict:
@@ -218,7 +216,7 @@ class CompiledModel:
         _, first, group = np.unique(joint, return_index=True, return_inverse=True)
         self.group = group.reshape(-1)
         K = len(first)
-        self._ends = a, b = np.triu_indices(K)
+        a, b = np.triu_indices(K)
         P = len(a)
         self.pair = np.empty((K, K), dtype=np.int64)
         self.pair[a, b] = np.arange(P)
@@ -260,20 +258,6 @@ class CompiledModel:
         pair_ids = self.pair[self.group[e[:, 0]], self.group[e[:, 1]]]
         return np.bincount(pair_ids, minlength=len(self.table))
 
-    def block_design(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Change rows, tie counts and dyad counts of the blocks holding dyads.
-
-        Built in O(n + m); gwdegree is not a function of the blocks, so its
-        column is zero here.
-        """
-        self._require_dyads()
-        size = np.bincount(self.group, minlength=len(self.pair))
-        a, b = self._ends
-        dyads = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
-        held = dyads > 0
-        ties = self.block_ties(g)[held].astype(np.float64)
-        return self.table[held], ties, dyads[held].astype(np.float64)
-
     def dyad_blocks(self) -> np.ndarray:
         """Block of every dyad, in lexicographic dyad order."""
         self._require_dyads()
@@ -308,27 +292,40 @@ class CompiledModel:
             row[self._gw_offset] = self._wdiff[base_degree_i] + self._wdiff[base_degree_j]
         return row
 
-    def design_matrix(self, g: Graph) -> tuple[np.ndarray, np.ndarray]:
-        """Change-statistic rows for every dyad plus observed tie labels.
+    def design_matrix(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grouped pseudo-likelihood rows: change rows, tie counts, dyad counts.
 
-        Rows follow lexicographic dyad order ((0,1), (0,2), ..., (n-2,n-1)).
-        For dyad-dependent terms the rest of the graph is held at its
-        observed state with the dyad itself switched off.
+        A node's class is its group, or with gwdegree its (group, degree)
+        pair. Each class pair gives a row, in lexicographic pair order
+        (without gwdegree, the level-pair blocks); with gwdegree it splits
+        into a non-tie row, gwdegree entry wdiff[d_a] + wdiff[d_b], and a tie
+        row, wdiff[d_a - 1] + wdiff[d_b - 1] (the dyad absent). Rows without
+        trials are dropped. Built in O(n + m + C^2) for C occupied classes.
         """
-        X = self.table[self.dyad_blocks()]
-        n = self.n
-        iu, ju = np.triu_indices(n, k=1)
-        adj = np.zeros((n, n), dtype=bool)
-        e = g.edge_array()
-        adj[e[:, 0], e[:, 1]] = True
-        y = adj[iu, ju].astype(np.float64)
-        if self._gw_offset is not None:
-            present = y.astype(np.int64)
-            degs = g.degrees()
-            X[:, self._gw_offset] = (
-                self._wdiff[degs[iu] - present] + self._wdiff[degs[ju] - present]
-            )
-        return X, y
+        self._require_dyads()
+        if g.n != self.n:
+            raise ValueError("graph size does not match compiled model")
+        gw, degs = self._gw_offset, g.degrees()
+        key = self.group if gw is None else self.group * self.n + degs
+        _, first, klass = np.unique(key, return_index=True, return_inverse=True)
+        klass, kgroup, kdeg = klass.reshape(-1), self.group[first], degs[first]
+        size = np.bincount(klass)
+        C = len(size)
+        a, b = np.triu_indices(C)
+        dyads = np.where(a == b, size[a] * (size[a] - 1) // 2, size[a] * size[b])
+        lo, hi = np.sort(klass[g.edge_array()], axis=1).T
+        ties = np.bincount(lo * C + hi, minlength=C * C)[a * C + b]
+        X = self.table[self.pair[kgroup[a], kgroup[b]]]
+        if gw is not None:
+            tied = X.copy()
+            X[:, gw] = self._wdiff[kdeg[a]] + self._wdiff[kdeg[b]]
+            # a degree-0 class holds no ties, so its tie rows are dropped
+            tied[:, gw] = self._wdiff[kdeg[a] - 1] + self._wdiff[kdeg[b] - 1]
+            X = np.vstack([X, tied])
+            dyads = np.concatenate([dyads - ties, ties])
+            ties = np.concatenate([np.zeros_like(ties), ties])
+        held = dyads > 0
+        return X[held], ties[held].astype(np.float64), dyads[held].astype(np.float64)
 
 
 def _categorical(name: str, attrs: AttributeTable) -> CategoricalColumn:
@@ -360,12 +357,6 @@ def change_statistics(
     cm = CompiledModel(model, attrs, g.n)
     present = 1 if g.has_edge(i, j) else 0
     return cm.change_row(i, j, g.degree(i) - present, g.degree(j) - present)
-
-
-def dyad_design_matrix(
-    g: Graph, attrs: AttributeTable, model: ModelSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    return CompiledModel(model, attrs, g.n).design_matrix(g)
 
 
 def dyad_index(n: int, i: int, j: int) -> int:

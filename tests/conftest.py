@@ -97,6 +97,53 @@ def brute_statistics(g: Graph, attrs: AttributeTable, model: ModelSpec) -> np.nd
     return np.array(out)
 
 
+def dense_design(g: Graph, attrs: AttributeTable, model: ModelSpec):
+    """Per-dyad pseudo-likelihood design: (X, y), one Bernoulli row per dyad.
+
+    Rows follow lexicographic dyad order; each is the change statistic of
+    the dyad from its endpoint labels and its endpoint degrees with the
+    dyad itself absent, and y is its observed tie state.
+    """
+    degree = [g.degree(i) for i in range(g.n)]
+    labels = {t.attr: attrs[t.attr].labels() for t in model.terms if hasattr(t, "attr")}
+    X, y = [], []
+    for i, j in all_dyads(g.n):
+        tie = g.has_edge(i, j)
+        row: list[float] = []
+        for term in model.terms:
+            if isinstance(term, Edges):
+                row.append(1.0)
+                continue
+            if isinstance(term, GwDegree):
+                # w(k + 1) - w(k) = (1 - e^(-d))^k at each endpoint's degree k
+                q = 1.0 - math.exp(-term.decay)
+                row.append(q ** (degree[i] - tie) + q ** (degree[j] - tie))
+                continue
+            col = attrs[term.attr]
+            li, lj = labels[term.attr][i], labels[term.attr][j]
+            if isinstance(term, NodeMatch):
+                if term.differential:
+                    row.extend(float(li == lev and lj == lev) for lev in col.levels)
+                else:
+                    row.append(float(li == lj))
+            elif isinstance(term, NodeFactor):
+                for lev in col.levels:
+                    if lev != term.reference:
+                        row.append(float((li == lev) + (lj == lev)))
+            elif isinstance(term, NodeMix):
+                ref = sorted(term.reference, key=col.levels.index)
+                for a_idx, a in enumerate(col.levels):
+                    for b in col.levels[a_idx:]:
+                        if [a, b] == ref:
+                            continue
+                        row.append(float(sorted([li, lj], key=col.levels.index) == [a, b]))
+            else:
+                raise AssertionError(f"oracle does not know term {term!r}")
+        X.append(row)
+        y.append(float(tie))
+    return np.array(X), np.array(y)
+
+
 # ---- independent network statistic oracles -------------------------------
 
 

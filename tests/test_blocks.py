@@ -1,4 +1,5 @@
-"""The level-pair block table against the brute oracles and the dense design.
+"""The level-pair block table and the grouped design against the brute
+oracles and the per-dyad design.
 
 Random attribute tables (1-3 columns of 1-4 declared levels, drawn from a
 random subset of the levels, so declared levels can be empty and columns
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergmkit.errors import ErgmkitError
+from ergmkit.errors import ErgmkitError, Separation
 from ergmkit.fit import fit_mple
 from ergmkit.graph import AttributeTable, Graph, categorical
 from ergmkit.logistic import fit_logistic
@@ -27,13 +28,13 @@ from ergmkit.model import (
 )
 from ergmkit.sampler import SamplerConfig, simulate
 
-from conftest import all_dyads, brute_statistics
+from conftest import all_dyads, brute_statistics, dense_design
 
 LEVELS = ("a", "b", "c", "d")
 
 
 @st.composite
-def block_cases(draw, max_n=7, gwdegree=True, identifiable=False):
+def block_cases(draw, max_n=7, identifiable=False):
     """(graph, attribute table, model) with 1-3 categorical columns.
 
     ``identifiable`` draws models that can be full rank: edges plus one of
@@ -67,7 +68,7 @@ def block_cases(draw, max_n=7, gwdegree=True, identifiable=False):
         if "mix" in kinds:
             ref = (draw(st.sampled_from(levels)), draw(st.sampled_from(levels)))
             terms.append(NodeMix(name, ref))
-    if gwdegree and draw(st.booleans()):
+    if draw(st.booleans()):
         terms.append(GwDegree(draw(st.sampled_from([0.3, 0.5, 1.2]))))
     dyads = all_dyads(n)
     densities = [0.15, 0.3, 0.5] if identifiable else [0.0, 0.2, 0.5, 0.8]
@@ -140,7 +141,7 @@ def test_statistics_match_brute_oracle(case):
 def test_change_rows_and_design_match_toggle_differences(case):
     g, attrs, model = case
     cm = CompiledModel(model, attrs, g.n)
-    X, y = cm.design_matrix(g)
+    X, y = dense_design(g, attrs, model)
     degs = g.degrees()
     for d, (i, j) in enumerate(all_dyads(g.n)):
         present = g.has_edge(i, j)
@@ -149,6 +150,15 @@ def test_change_rows_and_design_match_toggle_differences(case):
         np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(X[d], want, rtol=0, atol=1e-12)
         assert y[d] == float(present)
+    # the grouped rows hold the dyads of the dense rows they equal: over
+    # grouped rows with one change row, ties and trials add up to that
+    # row's dense ties and dyads
+    Xg, ties, trials = cm.design_matrix(g)
+    match = np.all(np.abs(Xg[:, None, :] - X[None, :, :]) <= 1e-12, axis=2)
+    assert match.any(axis=1).all() and match.any(axis=0).all()
+    same = (match.astype(int) @ match.T.astype(int)) > 0
+    np.testing.assert_array_equal(same @ ties, match @ y)
+    np.testing.assert_array_equal(same @ trials, match.sum(axis=1))
 
 
 def _outcome(fit):
@@ -158,37 +168,59 @@ def _outcome(fit):
         return None, exc
 
 
+def _classes(g, attrs, model):
+    """Occupied node classes: joint labels, plus the degree with gwdegree."""
+    columns = [attrs[t.attr].labels() for t in model.terms if hasattr(t, "attr")]
+    return {
+        (tuple(c[i] for c in columns), 0 if model.dyad_independent else g.degree(i))
+        for i in range(g.n)
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
-        block_cases(max_n=40, gwdegree=False),
-        block_cases(max_n=60, gwdegree=False, identifiable=True),
+        block_cases(max_n=40),
+        block_cases(max_n=60, identifiable=True),
     )
 )
 @example(EMPTY_LEVEL)
 @example(SINGLE_LEVEL)
+@example(EMPTY_GRAPH)
 def test_block_mple_matches_dense_irls(case):
     g, attrs, model = case
     cm = CompiledModel(model, attrs, g.n)
-    X, y = cm.design_matrix(g)
-    block, block_err = _outcome(lambda: fit_mple(g, attrs, model))
+    X, y = dense_design(g, attrs, model)
+    grouped, grouped_err = _outcome(lambda: fit_mple(g, attrs, model))
     dense, dense_err = _outcome(lambda: fit_logistic(X, y, names=list(cm.stat_names)))
+    if dense is not None:
+        mu = 1.0 / (1.0 + np.exp(-(X @ dense.beta)))
+        if np.any((mu < 1e-8) | (mu > 1 - 1e-8)):
+            # saturated fitted probabilities: the data are quasi-separated,
+            # the likelihood has no interior maximum and IRLS stopped on its
+            # flat ridge, which fit_mple reports
+            assert isinstance(grouped_err, Separation)
+            return
     # rank and separation errors name the same terms; a fit that runs
     # gives the same estimate and covariance
-    assert type(block_err) is type(dense_err)
-    assert str(block_err) == str(dense_err)
+    assert type(grouped_err) is type(dense_err)
+    assert str(grouped_err) == str(dense_err)
     if dense is None:
         return
-    mu = 1.0 / (1.0 + np.exp(-(X @ dense.beta)))
-    if np.any((mu < 1e-6) | (mu > 1 - 1e-6)):
-        # saturated fitted probabilities: the data are quasi-separated, the
-        # likelihood has no interior maximum and IRLS stops wherever its
-        # score first falls below tolerance on the flat ridge
-        return
-    np.testing.assert_allclose(block.theta, dense.beta, rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(block.covariance, dense.covariance, rtol=1e-10, atol=1e-10)
-    assert block.diagnostics["dyads"] == len(y)
-    assert block.diagnostics["blocks"] <= len(cm.table)
+    # gwdegree's column can be tiny beside the others (at high degrees); its
+    # estimate is then ill-conditioned and rounding moves it by about
+    # cond * eps, so gwdegree models compare in units of max(1, SE)
+    unit = np.ones(cm.p)
+    if not model.dyad_independent:
+        unit = np.maximum(1.0, np.sqrt(np.diag(dense.covariance)))
+    np.testing.assert_allclose(grouped.theta / unit, dense.beta / unit, rtol=1e-10, atol=1e-10)
+    cov_unit = np.outer(unit, unit)
+    np.testing.assert_allclose(
+        grouped.covariance / cov_unit, dense.covariance / cov_unit, rtol=1e-10, atol=1e-10
+    )
+    assert grouped.diagnostics["dyads"] == len(y)
+    C = len(_classes(g, attrs, model))
+    assert grouped.diagnostics["blocks"] <= (1 if model.dyad_independent else 2) * C * (C + 1) // 2
 
 
 def test_dyad_independent_paths_build_no_dense_design(monkeypatch):
@@ -203,13 +235,19 @@ def test_dyad_independent_paths_build_no_dense_design(monkeypatch):
     ends = rng.integers(0, n, size=(3 * n, 2))
     g = Graph(n, [(int(i), int(j)) for i, j in ends if i != j])
     model = ModelSpec([Edges(), NodeMatch("sex"), NodeMix("race", ("a", "a"))])
+    gw_model = ModelSpec(list(model.terms) + [GwDegree(0.5)])
 
-    def dense(*args, **kwargs):
-        raise AssertionError("dense dyad design built")
+    def per_dyad(*args, **kwargs):
+        raise AssertionError("per-dyad blocks built")
 
-    monkeypatch.setattr(CompiledModel, "design_matrix", dense)
-    fit = fit_mple(g, attrs, model)
-    assert fit.diagnostics["dyads"] == n * (n - 1) // 2
+    with monkeypatch.context() as patch:
+        patch.setattr(CompiledModel, "dyad_blocks", per_dyad)
+        fit = fit_mple(g, attrs, model)
+        gw_fit = fit_mple(g, attrs, gw_model)
+    assert fit.diagnostics["dyads"] == gw_fit.diagnostics["dyads"] == n * (n - 1) // 2
     assert fit.diagnostics["blocks"] == 21
+    C = len(_classes(g, attrs, gw_model))
+    assert gw_fit.diagnostics["blocks"] <= 2 * C * (C + 1) // 2
+
     graphs, stats = simulate(Graph(n), fit.theta, model, attrs, SamplerConfig(seed=3))
     np.testing.assert_array_equal(stats[0], CompiledModel(model, attrs, n).statistics(graphs[0]))

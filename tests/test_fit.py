@@ -95,6 +95,14 @@ class TestMple:
         with pytest.raises(Separation):
             fit_mple(Graph(4, all_dyads(4)), attrs, ModelSpec([Edges()]))
 
+    def test_quasi_separation_raises(self):
+        # the one tie is on an a-b dyad: no single column separates, but
+        # the a-b log-odds against a-a diverges and IRLS stops on the ridge
+        attrs = two_level_attrs(3, 2)
+        model = ModelSpec([Edges(), NodeFactor("grp", "a")])
+        with pytest.raises(Separation):
+            fit_mple(Graph(3, [(0, 2)]), attrs, model)
+
     def test_matches_brute_newton_on_pseudo_likelihood(self):
         attrs = two_level_attrs(5, 3)
         model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
@@ -292,7 +300,7 @@ class TestReferenceLevels:
         fb = fit_mple(g, attrs, m_ref_b)
 
         def tie_probabilities(model, theta):
-            X, _ = CompiledModel(model, attrs, g.n).design_matrix(g)
+            X = CompiledModel(model, attrs, g.n).design_matrix(g)[0]
             return 1.0 / (1.0 + np.exp(-(X @ theta)))
 
         pa = tie_probabilities(m_ref_a, fa.theta)

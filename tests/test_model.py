@@ -18,7 +18,6 @@ from ergmkit.model import (
     NodeMatch,
     NodeMix,
     change_statistics,
-    dyad_design_matrix,
     dyad_index,
     dyad_list,
     statistics,
@@ -26,7 +25,7 @@ from ergmkit.model import (
     term_to_dict,
 )
 
-from conftest import all_dyads, brute_statistics, graphs_on, two_level_attrs
+from conftest import all_dyads, brute_statistics, dense_design, graphs_on, two_level_attrs
 
 
 def sex_attrs(labels):
@@ -275,21 +274,33 @@ class TestChangeStatistics:
 
 
 class TestDesignMatrix:
+    """The grouped pseudo-likelihood design and the per-dyad oracle."""
+
     def test_row_count_and_order(self):
         attrs = two_level_attrs(3, 2)
-        X, y = dyad_design_matrix(Graph(3, [(0, 2)]), attrs, ModelSpec([Edges()]))
-        assert X.shape == (3, 1)
+        g = Graph(3, [(0, 2)])
+        model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
+        X, ties, trials = CompiledModel(model, attrs, 3).design_matrix(g)
+        # blocks (a, a) and (a, b); (b, b) holds no dyad and has no row
+        assert X.tolist() == [[1.0, 1.0], [1.0, 0.0]]
+        assert ties.tolist() == [0.0, 1.0]
+        assert trials.tolist() == [1.0, 2.0]
+        X, y = dense_design(g, attrs, model)
+        assert X.tolist() == [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
         assert y.tolist() == [0.0, 1.0, 0.0]  # dyads (0,1),(0,2),(1,2)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_nodes(self, n):
+        cm = CompiledModel(ModelSpec([Edges()]), two_level_attrs(n, n), n)
         with pytest.raises(TooFewNodes):
-            dyad_design_matrix(Graph(n), two_level_attrs(n, n), ModelSpec([Edges()]))
+            cm.design_matrix(Graph(n))
 
     def test_empty_graph_labels(self):
         attrs = two_level_attrs(4, 2)
-        _, y = dyad_design_matrix(Graph(4), attrs, ModelSpec([Edges()]))
-        assert not y.any()
+        for model in (ModelSpec([Edges()]), ModelSpec([Edges(), GwDegree(0.5)])):
+            _, ties, trials = CompiledModel(model, attrs, 4).design_matrix(Graph(4))
+            assert not ties.any()
+            assert trials.sum() == 6
 
     def test_dyad_independent_rows_ignore_y(self):
         attrs = AttributeTable(
@@ -303,23 +314,29 @@ class TestDesignMatrix:
                 NodeMix("grp", ("a", "a")),
             ]
         )
-        X_empty, _ = dyad_design_matrix(Graph(5), attrs, model)
+        cm = CompiledModel(model, attrs, 5)
+        X_empty, _, trials_empty = cm.design_matrix(Graph(5))
         for g in graphs_on(5):
-            X, _ = dyad_design_matrix(g, attrs, model)
+            X, ties, trials = cm.design_matrix(g)
             np.testing.assert_array_equal(X, X_empty)
+            np.testing.assert_array_equal(trials, trials_empty)
+            assert ties.sum() == g.edge_count
 
     def test_rows_match_change_statistics(self):
         attrs = two_level_attrs(5, 3)
         model = ModelSpec([Edges(), NodeMatch("grp"), GwDegree(0.5)])
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-        X, y = dyad_design_matrix(g, attrs, model)
-        for row, (i, j) in zip(X, dyad_list(5)):
-            np.testing.assert_allclose(
-                row,
-                change_statistics(g, attrs, model, (int(i), int(j))),
-                atol=1e-12,
-            )
-            assert y[dyad_index(5, int(i), int(j))] == float(g.has_edge(int(i), int(j)))
+        X, ties, trials = CompiledModel(model, attrs, 5).design_matrix(g)
+        tied = ties == trials
+        assert np.all(tied | (ties == 0))  # with gwdegree a row is all ties or all non-ties
+        held = np.zeros(len(X))
+        for i, j in dyad_list(5):
+            assert dyad_list(5)[dyad_index(5, int(j), int(i))].tolist() == [i, j]
+            row = change_statistics(g, attrs, model, (int(i), int(j)))
+            hit = np.all(np.abs(X - row) <= 1e-12, axis=1) & (tied == g.has_edge(int(i), int(j)))
+            assert hit.sum() == 1
+            held += hit
+        np.testing.assert_array_equal(held, trials)
 
 
 class TestSerialization:

@@ -205,12 +205,34 @@ class TestDataio:
         with pytest.raises(DataError):
             read_edge_csv(p)
 
+    @pytest.mark.parametrize(
+        "rows", ["p1,male,30,extra,cells\n", "p1,male\n", "p1,male,30\np2\n"]
+    )
+    def test_attribute_row_field_count_is_data_error(self, tmp_path, rows):
+        p = tmp_path / "attrs.csv"
+        p.write_text("id,sex,age\n" + rows)
+        with pytest.raises(DataError):
+            read_attribute_csv(p)
+
     def test_schema_declares_kinds(self, tmp_path):
         make_dataset(tmp_path)
         schema = load_schema(tmp_path / "schema.json")
         assert schema.column("sex").levels == ("male", "female")
         with pytest.raises(ConfigError):
             schema.column("nope")
+
+    @pytest.mark.parametrize("key", ["Emp", "age"])
+    def test_recode_of_undeclared_or_continuous_column_is_config_error(self, tmp_path, key):
+        schema = {
+            "columns": {
+                "emp": {"type": "categorical", "levels": ["employed", "retired"]},
+                "age": {"type": "continuous"},
+            },
+            "recode": {key: {"retired": "employed"}},
+        }
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        with pytest.raises(ConfigError):
+            load_schema(tmp_path / "schema.json")
 
 
 class TestRunConfig:
