@@ -157,6 +157,8 @@ class RandomForest:
         else:
             y = np.asarray(y, dtype=np.float64)
         n, f = X.shape
+        if len(y) != n:
+            raise ConfigError("features and labels must have the same length")
         if n < 2:
             raise ConfigError("forest needs at least two training rows")
         cfg = self.config
@@ -209,15 +211,3 @@ class RandomForest:
             acc += _predict_tree(tree, X)
         return acc / len(self._trees)
 
-
-def fit_random_forest(
-    features: np.ndarray,
-    labels: np.ndarray,
-    config: ForestConfig,
-    seed: int,
-    classify: bool,
-) -> RandomForest:
-    """Train a forest; the returned predictor reports its out-of-bag error."""
-    if len(features) != len(labels):
-        raise ConfigError("features and labels must have the same length")
-    return RandomForest(config, classify).fit(features, labels, seed)

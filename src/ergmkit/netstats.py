@@ -2,9 +2,10 @@
 
 Conventions: density is edges over n-choose-2, transitivity is the global
 clustering coefficient 3*triangles / connected triples, betweenness is
-normalized per node by (n-1)(n-2)/2 and averaged, and assortativity is the
-Pearson correlation of endpoint degrees over edges counted in both
-orientations (undefined when the degree variance over endpoints is zero).
+normalized per node by (n-1)(n-2)/2 and averaged (from shortest-path
+lengths alone), and assortativity is the Pearson correlation of endpoint
+degrees over edges counted in both orientations (undefined when the
+degree variance over endpoints is zero).
 """
 
 from __future__ import annotations
@@ -50,52 +51,35 @@ def transitivity(g: Graph) -> float:
 
 
 def mean_betweenness(g: Graph) -> float:
-    """Mean normalized betweenness over nodes (Brandes accumulation).
+    """Mean normalized betweenness over nodes, from shortest-path lengths.
 
-    Each node's pair-dependency sum is divided by (n-1)(n-2)/2; shortest
-    paths come from breadth-first search and disconnected pairs contribute
-    zero. Plain lists in the inner loops; per-element numpy indexing is
-    several times slower at these sizes.
+    A shortest s-t path has d(s, t) - 1 interior nodes, so betweenness
+    summed over nodes is the sum of d(s, t) - 1 over connected ordered
+    pairs s != t. Normalized per node by (n-1)(n-2)/2, the mean is that
+    integer sum over n(n-1)(n-2): one correctly rounded division. One
+    breadth-first search runs from all sources at once; bit s of
+    ``reached[v]`` marks v as reached from s (n^2/8 bytes of Python ints).
     """
     n = g.n
     if n < 3:
         raise TooFewNodes("betweenness requires at least 3 nodes")
-    adj = [list(g.neighbors(u)) for u in range(n)]
-    raw = [0.0] * n
-    for s in range(n):
-        if not adj[s]:
-            continue  # isolated sources reach no pairs
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            du1 = dist[u] + 1
-            su = sigma[u]
-            for v in adj[u]:
-                dv = dist[v]
-                if dv < 0:
-                    dist[v] = du1
-                    dv = du1
-                    order.append(v)
-                if dv == du1:
-                    sigma[v] += su
-                    preds[v].append(u)
-        delta = [0.0] * n
-        for v in reversed(order):
-            coeff = (1.0 + delta[v]) / sigma[v]
-            for u in preds[v]:
-                delta[u] += sigma[u] * coeff
-            if v != s:
-                raw[v] += delta[v]
-    # raw sums count each unordered pair from both endpoints
-    scale = 1.0 / (2.0 * ((n - 1) * (n - 2) / 2.0))
-    return sum(raw) * scale / n
+    adj = [tuple(g.neighbors(v)) for v in range(n)]
+    frontier = reached = [1 << v for v in range(n)]
+    interior = 0  # sum of d(s, t) - 1 over the ordered pairs reached so far
+    for depth in range(n):  # this level reaches pairs at distance depth + 1 (always < n)
+        nxt = []
+        for v in range(n):
+            bits = 0
+            for u in adj[v]:
+                bits |= frontier[u]
+            nxt.append(bits & ~reached[v])
+        found = sum(new.bit_count() for new in nxt)
+        if not found:
+            break
+        interior += depth * found
+        reached = [old | new for old, new in zip(reached, nxt)]
+        frontier = nxt
+    return interior / (n * (n - 1) * (n - 2))
 
 
 def degree_assortativity(g: Graph) -> Optional[float]:

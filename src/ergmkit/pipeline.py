@@ -113,8 +113,8 @@ class RunConfig:
     missing_policy: str = "complete_case"
     family: str = "match"
     attributes_used: tuple[str, ...] = ()
-    final_candidates: tuple[dict, ...] = ()
-    gwdegree: float | None = None
+    final_candidates: tuple[TermSpec, ...] = ()
+    gwdegree: GwDegree | None = None
     imputation_targets: tuple[str, ...] = ()
     imputation_covariates: tuple[str, ...] | None = None
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -137,20 +137,26 @@ class RunConfig:
             raise ConfigError("fit_method must be mple or mcmle")
         if self.gof_samples < 1:
             raise ConfigError("gof_samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
     def path(p):
         return str(base / p) if base is not None and not Path(p).is_absolute() else str(p)
 
+    def setting(where: str, convert, value):
+        """``convert(value)`` unless None; a malformed value is a ConfigError naming it."""
+        try:
+            return None if value is None else convert(value)
+        except KeyError as exc:
+            raise ConfigError(f"config {where}: missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config {where}: {exc}") from None
+
     imp = d.get("imputation", {})
     fit = d.get("fit", {})
-    sampler = SamplerConfig(
-        burn_in=fit.get("burn_in"),
-        thin=fit.get("thin"),
-        sample_count=int(fit.get("samples", 512)),
-        seed=int(d.get("seed", 0)),
-    )
+    seed = setting("seed", int, d.get("seed", 0))
     try:
         return RunConfig(
             edges=path(d["edges"]),
@@ -160,23 +166,35 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
             missing_policy=d.get("missing_policy", "complete_case"),
             family=d.get("family", "match"),
             attributes_used=tuple(d.get("attributes_used", ())),
-            final_candidates=tuple(d.get("final_candidates", ())),
-            gwdegree=d.get("gwdegree"),
+            final_candidates=tuple(
+                setting(f"final_candidates[{k}]", term_from_dict, c)
+                for k, c in enumerate(d.get("final_candidates", ()))
+            ),
+            gwdegree=setting(
+                "gwdegree",
+                lambda decay: term_from_dict({"term": "gwdegree", "decay": decay}),
+                d.get("gwdegree"),
+            ),
             imputation_targets=tuple(imp.get("targets", ())),
             imputation_covariates=(
                 tuple(imp["covariates"]) if "covariates" in imp else None
             ),
             forest=ForestConfig(
-                trees=int(imp.get("trees", 100)),
-                mtry=imp.get("mtry"),
-                min_leaf=int(imp.get("min_leaf", 1)),
+                trees=setting("imputation.trees", int, imp.get("trees", 100)),
+                mtry=setting("imputation.mtry", int, imp.get("mtry")),
+                min_leaf=setting("imputation.min_leaf", int, imp.get("min_leaf", 1)),
             ),
             fit_method=fit.get("method", "mple"),
-            sampler=sampler,
-            gof_samples=int(fit.get("gof_samples", 200)),
+            sampler=SamplerConfig(
+                burn_in=setting("fit.burn_in", int, fit.get("burn_in")),
+                thin=setting("fit.thin", int, fit.get("thin")),
+                sample_count=setting("fit.samples", int, fit.get("samples", 512)),
+                seed=seed,
+            ),
+            gof_samples=setting("fit.gof_samples", int, fit.get("gof_samples", 200)),
             gof_trace=bool(fit.get("trace", False)),
-            screen_alpha=float(fit.get("screen_alpha", 0.2)),
-            seed=int(d.get("seed", 0)),
+            screen_alpha=setting("fit.screen_alpha", float, fit.get("screen_alpha", 0.2)),
+            seed=seed,
             out=path(d.get("out", "out")),
         )
     except KeyError as exc:
@@ -243,6 +261,13 @@ def _write_json(path: Path, obj) -> None:
     _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
+def _require_columns(attrs: AttributeTable, key: str, names) -> None:
+    """Raise a ConfigError naming ``key`` for the first name that is not a column."""
+    for name in names:
+        if name not in attrs:
+            raise ConfigError(f"{key} names {name!r}, which is not an attribute column")
+
+
 def impute_attributes(
     attrs: AttributeTable, targets: list[str], config: RunConfig
 ) -> tuple[AttributeTable, dict]:
@@ -261,6 +286,8 @@ def impute_attributes(
         if config.imputation_covariates is not None
         else [c for c in attrs.names if c not in targets]
     )
+    _require_columns(attrs, "imputation.targets", targets)
+    _require_columns(attrs, "imputation.covariates", covs)
     if config.missing_policy == "psm":
         diag = {}
         for t in targets:
@@ -293,6 +320,12 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
         schema = load_schema(config.schema)
         g, attrs, ids = load_network(config.edges, config.attributes, schema)
         summary["stages"]["ingest"] = {"nodes": g.n, "edges": g.edge_count}
+        source, modeled = "attributes_used", tuple(config.attributes_used)
+        if config.family == "final" and config.final_candidates:
+            source = "final_candidates"
+            named = [t.attr for t in config.final_candidates if hasattr(t, "attr")]
+            modeled = tuple(dict.fromkeys(named))
+        _require_columns(attrs, source, modeled)
 
         stage = "scope"
         if config.scope == "lcc":
@@ -315,13 +348,6 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
         _write(outdir / "attribute_summary.csv", attribute_summary_csv(attr_summary))
 
         stage = "missing_policy"
-        modeled = tuple(config.attributes_used)
-        if config.family == "final" and config.final_candidates:
-            modeled = tuple(
-                dict.fromkeys(
-                    [d["attr"] for d in config.final_candidates if "attr" in d]
-                )
-            )
         if config.missing_policy == "complete_case":
             drop_mask = np.zeros(attrs.n, dtype=bool)
             for name in modeled:
@@ -357,10 +383,9 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
 
         stage = "model"
         if config.family == "final":
-            if config.final_candidates:
-                candidates = [term_from_dict(d) for d in config.final_candidates]
-            else:
-                candidates = build_family_terms("match", modeled, schema, attrs)
+            candidates = list(config.final_candidates) or build_family_terms(
+                "match", modeled, schema, attrs
+            )
             screen = screen_univariate(g, attrs, candidates, alpha=config.screen_alpha)
             report.screen = screen
             _write(outdir / "screen.json", screen.to_json() + "\n")
@@ -369,7 +394,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             terms = build_family_terms(config.family, modeled, schema, attrs)
         model_terms: list[TermSpec] = [Edges()] + terms
         if config.gwdegree is not None:
-            model_terms.append(GwDegree(float(config.gwdegree)))
+            model_terms.append(config.gwdegree)
         model = ModelSpec(model_terms)
         CompiledModel(model, attrs, g.n)  # fail here, not mid-fit
         _write_json(

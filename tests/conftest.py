@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -173,6 +174,46 @@ def brute_betweenness(g: Graph) -> np.ndarray:
             through = sum(1 for p in paths if v in p)
             raw[v] += through / len(paths)
     return raw / ((n - 1) * (n - 2) / 2.0)
+
+
+def brandes_betweenness(g: Graph) -> np.ndarray:
+    """Normalized betweenness per node by Brandes' accumulation.
+
+    Brandes (2001), J. Math. Sociol. 25(2), Algorithm 1: from each source
+    s, a breadth-first search counts shortest paths sigma[w] and records
+    each node's predecessors; popping nodes in order of non-increasing
+    distance, delta[v] += sigma[v] / sigma[w] * (1 + delta[w]) over each
+    predecessor v of w. C_B(w) sums delta[w] over sources, which counts
+    each unordered pair twice.
+    """
+    n = g.n
+    cb = np.zeros(n)
+    for s in range(n):
+        stack = []
+        pred = {w: [] for w in range(n)}
+        sigma = dict.fromkeys(range(n), 0)
+        sigma[s] = 1
+        dist = dict.fromkeys(range(n), -1)
+        dist[s] = 0
+        queue = collections.deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in sorted(g.neighbors(v)):
+                if dist[w] < 0:
+                    queue.append(w)
+                    dist[w] = dist[v] + 1
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    pred[w].append(v)
+        delta = dict.fromkeys(range(n), 0.0)
+        while stack:
+            w = stack.pop()
+            for v in pred[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                cb[w] += delta[w]
+    return cb / 2.0 / ((n - 1) * (n - 2) / 2.0)
 
 
 def _all_shortest_paths(g: Graph, s: int, t: int):

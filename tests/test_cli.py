@@ -4,6 +4,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 import ergmkit.pipeline as pipeline
 from ergmkit.cli import main
 from ergmkit.graph import Graph
@@ -146,6 +148,41 @@ class TestExitCodes:
         bad.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "run", "--config", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            pytest.param({"gwdegree": 0}, "gwdegree: gwdegree decay", id="gwdegree-zero"),
+            pytest.param({"gwdegree": -1}, "gwdegree: gwdegree decay", id="gwdegree-negative"),
+            pytest.param({"gwdegree": "abc"}, "gwdegree: could not convert", id="gwdegree-text"),
+            pytest.param(
+                {"family": "final", "final_candidates": [{"term": "nodecov", "attr": "age"}]},
+                "final_candidates[0]: unknown term kind 'nodecov'",
+                id="unknown-term",
+            ),
+            pytest.param(
+                {"family": "final", "final_candidates": [{"term": "nodematch"}]},
+                "final_candidates[0]: missing key 'attr'",
+                id="term-without-attr",
+            ),
+            pytest.param({"fit": {"samples": "x"}}, "fit.samples", id="samples-text"),
+            pytest.param({"seed": -3}, "seed must be >= 0", id="negative-seed"),
+            pytest.param(
+                {"attributes_used": ["nope"]}, "attributes_used names 'nope'", id="unknown-column"
+            ),
+            pytest.param(
+                {"missing_policy": "psm", "imputation": {"targets": ["nope"]}},
+                "imputation.targets names 'nope'",
+                id="unknown-imputation-target",
+            ),
+        ],
+    )
+    def test_malformed_setting_is_config_error(self, tmp_path, capsys, overrides, named):
+        make_dataset(tmp_path, missing_rate=0.0)
+        cfg = make_config(tmp_path, **overrides)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert named in err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         make_dataset(tmp_path, missing_rate=0.0)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergmkit.errors import EmptyGraph, NoEdges, TooFewNodes
@@ -20,6 +20,7 @@ from ergmkit.netstats import (
 
 from conftest import (
     all_dyads,
+    brandes_betweenness,
     brute_assortativity,
     brute_betweenness,
     brute_transitivity,
@@ -140,6 +141,36 @@ class TestBetweenness:
         assert mean_betweenness(g) == pytest.approx(
             float(brute_betweenness(g).mean()), abs=1e-12
         )
+
+
+@st.composite
+def any_graphs(draw, min_n=3, max_n=40):
+    """Any edge set on n nodes, so isolates and several components occur."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    dyads = all_dyads(n)
+    picks = draw(st.sets(st.integers(0, len(dyads) - 1), max_size=len(dyads)))
+    return Graph(n, [dyads[k] for k in picks])
+
+
+class TestBetweennessMatchesBrandes:
+    """The distance-sum mean against Brandes' per-node accumulation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_graphs())
+    @example(Graph(6, [(k, k + 1) for k in range(5)]))  # path
+    @example(Graph(7, [(0, k) for k in range(1, 7)]))  # star
+    @example(complete(9))
+    @example(Graph(5))  # empty
+    @example(Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]))  # two components
+    def test_matches_brandes(self, g):
+        expected = float(brandes_betweenness(g).mean())
+        assert mean_betweenness(g) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_matches_brandes_at_n_300(self):
+        g = random_graph(300, 0.01, seed=7)
+        expected = float(brandes_betweenness(g).mean())
+        assert expected > 0
+        assert mean_betweenness(g) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestAssortativity:
