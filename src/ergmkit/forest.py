@@ -6,16 +6,27 @@ streams are spawned from the master seed, so results do not depend on
 training order. When min_leaf rules out any split, bootstrapping is
 skipped and the forest collapses to the exact training aggregate (the
 column mode or mean) instead of a resampled one.
+
+Trees grow over Python lists, because their nodes are small (tens of rows)
+and a numpy call per node and feature costs more than the arithmetic. A
+node is a list of bootstrap positions. Each candidate feature sorts them
+once (``sorted`` is stable) and scans them once, scoring every cut between
+distinct values: classification keeps exact integer class counts,
+regression takes prefix sums in sequence. The gains are those of a stable
+argsort with cumulative sums, bit for bit; the first cut of largest gain
+wins within a feature, and a later feature must beat the best by 1e-12.
+Regression node means and impurities keep numpy's pairwise sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -44,83 +55,128 @@ class _Node:
         self.right = right
 
 
-def _leaf_value(y: np.ndarray, classify: bool):
-    if classify:
-        counts = np.bincount(y.astype(np.int64))
-        return int(np.argmax(counts))  # argmax tie-break: smallest code
-    return float(np.mean(y))
+def _class_leaf(counts: list[int]) -> int:
+    return counts.index(max(counts))  # first maximum: smallest code
 
 
-def _best_split(X, y, features, min_leaf, classify):
-    """Best (gain, feature, threshold) over the candidate features."""
-    n = len(y)
+def _gini_cut(xs, ys, counts, squares, parent, lo, hi):
+    """Gain and left size of the first cut of largest Gini gain.
+
+    ``xs`` is the node's feature column in sorted order, ``ys`` its labels
+    in the same order, ``counts`` the node's class counts and ``squares``
+    their sum of squares. The left side's sum of squared counts ``sl`` and
+    the sum ``d`` of node counts over its labels give the right side's,
+    ``squares - 2 d + sl``. All three stay exact integers, so the gain is
+    the one a cumulative sum would give.
+    """
+    n = len(xs)
+    left = [0] * len(counts)
+    sl = d = 0
+    best, cut, nl = -math.inf, 0, 0
+    for c, a, b in zip(ys, xs, xs[1:]):
+        nl += 1
+        k = left[c]
+        left[c] = k + 1
+        sl += k + k + 1
+        d += counts[c]
+        if a < b and lo <= nl <= hi:
+            nr = n - nl
+            gain = parent - (nl - sl / nl + nr - (squares - d - d + sl) / nr)
+            if gain > best:
+                best, cut = gain, nl
+    return best, cut
+
+
+def _variance_cut(xs, ys, parent, lo, hi):
+    """As ``_gini_cut``, for the variance reduction of a regression tree.
+
+    Prefix sums add in sequence, as ``np.cumsum`` does. A NaN gain from
+    overflow disqualifies the feature, as it does under ``np.argmax``.
+    """
+    n = len(xs)
+    s1 = list(accumulate(ys))
+    s2 = list(accumulate([v * v for v in ys]))
+    t1, t2 = s1[-1], s2[-1]
+    best, cut = -math.inf, 0
+    for nl in range(lo, hi + 1):
+        if xs[nl - 1] < xs[nl]:
+            a1, a2 = s1[nl - 1], s2[nl - 1]
+            b1 = t1 - a1
+            gain = parent - ((a2 - a1 * a1 / nl) + ((t2 - a2) - b1 * b1 / (n - nl)))
+            if gain != gain:
+                return -math.inf, 0
+            if gain > best:
+                best, cut = gain, nl
+    return best, cut
+
+
+def _best_split(cols, y, rows, features, min_leaf, counts, squares, parent):
+    """Best (feature, threshold) over the candidate features, or None.
+
+    ``counts`` holds the node's class counts for a classification tree and
+    is None for a regression tree. Each feature's rows are sorted once,
+    stably, and scanned once; the first feature to beat the running best
+    by more than 1e-12 wins.
+    """
+    lo, hi = min_leaf, len(rows) - min_leaf
     best_gain = 0.0
     best = None
-    if classify:
-        n_classes = int(y.max()) + 1 if len(y) else 1
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y.astype(np.int64)] = 1.0
-        parent = n - float(np.sum(np.bincount(y.astype(np.int64)) ** 2)) / n
-    else:
-        parent = float(np.sum((y - y.mean()) ** 2))
     for f in features:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        cuts = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left sizes at value changes
-        if len(cuts) == 0:
-            continue
-        cuts = cuts[(cuts >= min_leaf) & (cuts <= n - min_leaf)]
-        if len(cuts) == 0:
-            continue
-        if classify:
-            cum = np.cumsum(onehot[order], axis=0)
-            left_counts = cum[cuts - 1]
-            right_counts = cum[-1] - left_counts
-            nl = cuts.astype(np.float64)
-            nr = n - nl
-            child = (
-                nl
-                - np.sum(left_counts**2, axis=1) / nl
-                + nr
-                - np.sum(right_counts**2, axis=1) / nr
-            )
+        col = cols[f]
+        order = sorted(rows, key=col.__getitem__)
+        xs = list(map(col.__getitem__, order))
+        ys = list(map(y.__getitem__, order))
+        if counts is None:
+            gain, cut = _variance_cut(xs, ys, parent, lo, hi)
         else:
-            ys = y[order]
-            s1 = np.cumsum(ys)
-            s2 = np.cumsum(ys * ys)
-            nl = cuts.astype(np.float64)
-            left_ss = s2[cuts - 1] - s1[cuts - 1] ** 2 / nl
-            nr = n - nl
-            right_ss = (s2[-1] - s2[cuts - 1]) - (s1[-1] - s1[cuts - 1]) ** 2 / nr
-            child = left_ss + right_ss
-        gains = parent - child
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain + 1e-12:
-            best_gain = float(gains[k])
-            cut = cuts[k]
-            best = (f, float((xs[cut - 1] + xs[cut]) / 2.0))
-    if best is None:
-        return None
-    return best_gain, best[0], best[1]
+            gain, cut = _gini_cut(xs, ys, counts, squares, parent, lo, hi)
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            a, b = xs[cut - 1], xs[cut]
+            thr = (a + b) / 2.0
+            # between adjacent floats the midpoint can round up to b, where
+            # ``x <= thr`` would leave the right child empty
+            best = (f, thr if thr < b else a)
+    return best
 
 
-def _grow(X, y, min_leaf, mtry, classify, rng):
-    if len(y) < 2 * min_leaf or (y == y[0]).all():
-        return _Node(value=_leaf_value(y, classify))
-    n_features = X.shape[1]
-    k = min(mtry, n_features)
-    features = rng.choice(n_features, size=k, replace=False)
-    split = _best_split(X, y, features, min_leaf, classify)
+def _grow(cols, y, yb, rows, min_leaf, mtry, n_classes, rng):
+    """Grow the subtree over bootstrap positions ``rows``, in their order.
+
+    ``cols`` and ``y`` are the bootstrap sample's feature columns and
+    labels as lists; ``yb`` is the label array, used for the pairwise sums
+    of a regression node. ``n_classes`` is 0 for a regression tree.
+    """
+    n = len(rows)
+    if n_classes:
+        counts = [0] * n_classes
+        for r in rows:
+            counts[y[r]] += 1
+        if n < 2 * min_leaf or max(counts) == n:
+            return _Node(value=_class_leaf(counts))
+        squares = sum(c * c for c in counts)
+        parent = n - squares / n
+    else:
+        counts = squares = None
+        yv = yb[rows]
+        if n < 2 * min_leaf or (yv == yv[0]).all():
+            return _Node(value=float(np.mean(yv)))
+        parent = float(np.sum((yv - yv.mean()) ** 2))
+    features = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
+    split = _best_split(
+        cols, y, rows, features.tolist(), min_leaf, counts, squares, parent
+    )
     if split is None:
-        return _Node(value=_leaf_value(y, classify))
-    _, f, thr = split
-    mask = X[:, f] <= thr
+        return _Node(value=_class_leaf(counts) if n_classes else float(np.mean(yv)))
+    f, thr = split
+    col = cols[f]
+    left = [r for r in rows if col[r] <= thr]
+    right = [r for r in rows if col[r] > thr]
     return _Node(
         feature=f,
         threshold=thr,
-        left=_grow(X[mask], y[mask], min_leaf, mtry, classify, rng),
-        right=_grow(X[~mask], y[~mask], min_leaf, mtry, classify, rng),
+        left=_grow(cols, y, yb, left, min_leaf, mtry, n_classes, rng),
+        right=_grow(cols, y, yb, right, min_leaf, mtry, n_classes, rng),
     )
 
 
@@ -151,11 +207,17 @@ class RandomForest:
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        # sorting needs a total order, and a class code indexes a count list
+        if np.isnan(X).any():
+            raise DataError("forest features contain NaN")
+        if np.isnan(y).any():
+            raise DataError("forest labels contain NaN")
         if self.classify:
-            y = np.asarray(y, dtype=np.int64)
+            if not (np.isfinite(y) & (y >= 0) & (y == np.floor(y))).all():
+                raise DataError("class labels must be non-negative integers")
+            y = y.astype(np.int64)
             self.n_classes = int(y.max()) + 1 if len(y) else 1
-        else:
-            y = np.asarray(y, dtype=np.float64)
         n, f = X.shape
         if len(y) != n:
             raise ConfigError("features and labels must have the same length")
@@ -176,7 +238,17 @@ class RandomForest:
                 rows = rng.integers(0, n, size=n)
             else:
                 rows = np.arange(n)  # constant tree: use the exact aggregate
-            tree = _grow(X[rows], y[rows], cfg.min_leaf, mtry, self.classify, rng)
+            Xb, yb = X[rows], y[rows]
+            tree = _grow(
+                Xb.T.tolist(),
+                yb.tolist(),
+                yb,
+                list(range(n)),
+                cfg.min_leaf,
+                mtry,
+                self.n_classes if self.classify else 0,
+                rng,
+            )
             self._trees.append(tree)
             oob = np.setdiff1d(np.arange(n), rows, assume_unique=False)
             if len(oob):

@@ -221,6 +221,9 @@ def impute_missforest(
             diagnostics={"iterations": 0, "imputed": {t: 0 for t in targets}, "oob": {}},
         )
 
+    for name in covariates:
+        if name not in targets and attrs[name].missing_mask().any():
+            raise CovariateMissing(f"covariate {name!r} has missing cells")
     columns = list(dict.fromkeys(list(targets) + list(covariates)))
     work = _Working(attrs, columns)
     # initial fill: column mode for categorical, mean for continuous

@@ -154,8 +154,21 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config {where}: {exc}") from None
 
-    imp = d.get("imputation", {})
-    fit = d.get("fit", {})
+    def json_type(where: str, kind: type, value):
+        """``value`` if it is of JSON type ``kind``; else a ConfigError naming it."""
+        if not isinstance(value, kind):
+            what = "an object" if kind is dict else "a list"
+            raise ConfigError(f"config {where}: expected {what}, got {value!r}")
+        return value
+
+    def names(where: str, value) -> tuple[str, ...]:
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"config {where}: expected a list of strings, got {value!r}")
+        return tuple(value)
+
+    json_type("top level", dict, d)
+    imp = json_type("imputation", dict, d.get("imputation", {}))
+    fit = json_type("fit", dict, d.get("fit", {}))
     seed = setting("seed", int, d.get("seed", 0))
     try:
         return RunConfig(
@@ -165,19 +178,23 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
             scope=d.get("scope", "full"),
             missing_policy=d.get("missing_policy", "complete_case"),
             family=d.get("family", "match"),
-            attributes_used=tuple(d.get("attributes_used", ())),
+            attributes_used=names("attributes_used", d.get("attributes_used", [])),
             final_candidates=tuple(
                 setting(f"final_candidates[{k}]", term_from_dict, c)
-                for k, c in enumerate(d.get("final_candidates", ()))
+                for k, c in enumerate(
+                    json_type("final_candidates", list, d.get("final_candidates", []))
+                )
             ),
             gwdegree=setting(
                 "gwdegree",
                 lambda decay: term_from_dict({"term": "gwdegree", "decay": decay}),
                 d.get("gwdegree"),
             ),
-            imputation_targets=tuple(imp.get("targets", ())),
+            imputation_targets=names("imputation.targets", imp.get("targets", [])),
             imputation_covariates=(
-                tuple(imp["covariates"]) if "covariates" in imp else None
+                names("imputation.covariates", imp["covariates"])
+                if "covariates" in imp
+                else None
             ),
             forest=ForestConfig(
                 trees=setting("imputation.trees", int, imp.get("trees", 100)),

@@ -257,6 +257,134 @@ def brute_assortativity(g: Graph):
     return float((np.mean(x * y) - np.mean(x) * np.mean(y)) / math.sqrt(vx * vy))
 
 
+# ---- bagged CART oracle (per-node numpy search) ---------------------------
+
+
+def _ref_leaf(y, classify):
+    if classify:
+        return int(np.argmax(np.bincount(y)))  # smallest code on ties
+    return float(np.mean(y))
+
+
+def _ref_grow(X, y, min_leaf, mtry, classify, rng):
+    """One tree as nested tuples: ("leaf", value) or (feature, threshold, left, right).
+
+    Every candidate feature is sorted by a stable argsort; class counts or
+    label sums come from a cumulative sum over the sorted rows.
+    """
+    n = len(y)
+    if n < 2 * min_leaf or np.all(y == y[0]):
+        return ("leaf", _ref_leaf(y, classify))
+    features = rng.choice(X.shape[1], size=min(mtry, X.shape[1]), replace=False)
+    if classify:
+        onehot = np.zeros((n, int(y.max()) + 1))
+        onehot[np.arange(n), y] = 1.0
+        parent = n - float(np.sum(np.bincount(y) ** 2)) / n
+    else:
+        parent = float(np.sum((y - y.mean()) ** 2))
+    best_gain, best = 0.0, None
+    for f in features:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        cuts = np.flatnonzero(xs[:-1] < xs[1:]) + 1
+        cuts = cuts[(cuts >= min_leaf) & (cuts <= n - min_leaf)]
+        if len(cuts) == 0:
+            continue
+        nl = cuts.astype(np.float64)
+        nr = n - nl
+        if classify:
+            cum = np.cumsum(onehot[order], axis=0)
+            left = cum[cuts - 1]
+            right = cum[-1] - left
+            child = nl - np.sum(left**2, axis=1) / nl + nr - np.sum(right**2, axis=1) / nr
+        else:
+            s1 = np.cumsum(y[order])
+            s2 = np.cumsum(y[order] ** 2)
+            a1, a2 = s1[cuts - 1], s2[cuts - 1]
+            child = (a2 - a1**2 / nl) + ((s2[-1] - a2) - (s1[-1] - a1) ** 2 / nr)
+        gains = parent - child
+        k = int(np.argmax(gains))  # first maximum
+        if gains[k] > best_gain + 1e-12:
+            lo, hi = float(xs[cuts[k] - 1]), float(xs[cuts[k]])
+            mid = (lo + hi) / 2.0
+            best_gain = float(gains[k])
+            best = (int(f), mid if mid < hi else lo)  # a midpoint may round up
+    if best is None:
+        return ("leaf", _ref_leaf(y, classify))
+    f, thr = best
+    mask = X[:, f] <= thr
+    return (
+        f,
+        thr,
+        _ref_grow(X[mask], y[mask], min_leaf, mtry, classify, rng),
+        _ref_grow(X[~mask], y[~mask], min_leaf, mtry, classify, rng),
+    )
+
+
+def _ref_predict_row(tree, x):
+    while tree[0] != "leaf":
+        f, thr, left, right = tree
+        tree = left if x[f] <= thr else right
+    return tree[1]
+
+
+def reference_forest(X, y, trees, mtry, min_leaf, classify, seed):
+    """Bagged CART grown by the per-node numpy search, as an oracle.
+
+    Returns ``(trees, predict, oob_error)``: the trees as nested tuples,
+    ``predict(X)`` (majority vote with ties to the smallest code, or the
+    mean over trees) and the out-of-bag error (misclassification rate or
+    mean squared error; NaN when no row is ever out of bag). Each tree has
+    its own stream spawned from ``seed``; it draws the bootstrap rows, then
+    ``mtry`` features at each node that may split, depth first, left first.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64 if classify else np.float64)
+    n, f = X.shape
+    mtry = mtry if mtry is not None else max(1, math.ceil(math.sqrt(f)))
+    n_classes = int(y.max()) + 1 if classify else 0
+    grown = []
+    oob_sum = np.zeros((n, n_classes)) if classify else np.zeros(n)
+    oob_seen = np.zeros(n)
+    for stream in np.random.SeedSequence(seed).spawn(trees):
+        r = np.random.Generator(np.random.PCG64(stream))
+        rows = r.integers(0, n, size=n) if n >= 2 * min_leaf else np.arange(n)
+        tree = _ref_grow(X[rows], y[rows], min_leaf, mtry, classify, r)
+        grown.append(tree)
+        in_bag = np.zeros(n, dtype=bool)
+        in_bag[rows] = True
+        for i in np.flatnonzero(~in_bag):
+            value = _ref_predict_row(tree, X[i])
+            if classify:
+                oob_sum[i, value] += 1.0
+            else:
+                oob_sum[i] += value
+            oob_seen[i] += 1.0
+
+    def predict(Z):
+        Z = np.asarray(Z, dtype=np.float64)
+        out = []
+        for z in Z:
+            values = [_ref_predict_row(t, z) for t in grown]
+            if classify:
+                out.append(int(np.argmax(np.bincount(values, minlength=n_classes))))
+            else:
+                total = 0.0
+                for v in values:
+                    total += v
+                out.append(total / len(grown))
+        return np.array(out, dtype=np.int64 if classify else np.float64)
+
+    seen = oob_seen > 0
+    if not seen.any():
+        oob_error = math.nan
+    elif classify:
+        oob_error = float(np.mean(np.argmax(oob_sum[seen], axis=1) != y[seen]))
+    else:
+        oob_error = float(np.mean((oob_sum[seen] / oob_seen[seen] - y[seen]) ** 2))
+    return grown, predict, oob_error
+
+
 # ---- attribute builders ---------------------------------------------------
 
 

@@ -175,6 +175,35 @@ class TestExitCodes:
                 "imputation.targets names 'nope'",
                 id="unknown-imputation-target",
             ),
+            pytest.param({"fit": "x"}, "config fit: expected an object", id="fit-not-object"),
+            pytest.param(
+                {"imputation": 5}, "config imputation: expected an object", id="imputation-not-object"
+            ),
+            pytest.param(
+                {"final_candidates": "nodematch"},
+                "config final_candidates: expected a list",
+                id="candidates-not-list",
+            ),
+            pytest.param(
+                {"attributes_used": "sex"},
+                "config attributes_used: expected a list of strings",
+                id="attributes-used-string",
+            ),
+            pytest.param(
+                {"attributes_used": ["sex", 3]},
+                "config attributes_used: expected a list of strings",
+                id="attributes-used-number",
+            ),
+            pytest.param(
+                {"missing_policy": "missforest", "imputation": {"targets": "living"}},
+                "config imputation.targets: expected a list of strings",
+                id="targets-string",
+            ),
+            pytest.param(
+                {"missing_policy": "missforest", "imputation": {"covariates": "age"}},
+                "config imputation.covariates: expected a list of strings",
+                id="covariates-string",
+            ),
         ],
     )
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, overrides, named):
@@ -183,6 +212,29 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
         assert named in err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        make_dataset(tmp_path, missing_rate=0.0)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([json.loads(make_config(tmp_path).read_text())]))
+        code, _, err = run_cli(capsys, "run", "--config", str(bad))
+        assert code == 2
+        assert "config top level: expected an object" in err
+
+    def test_missforest_covariate_with_missing_cells(self, tmp_path, capsys):
+        # age is a covariate of the living target, and three of its cells are blank
+        make_dataset(tmp_path)
+        with open(tmp_path / "attrs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        age = rows[0].index("age")
+        for row in rows[1:4]:
+            row[age] = ""
+        with open(tmp_path / "attrs.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = make_config(tmp_path, missing_policy="missforest")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        assert "covariate 'age' has missing cells" in err
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         make_dataset(tmp_path, missing_rate=0.0)

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergmkit.errors import ConfigError
+from ergmkit.errors import ConfigError, DataError
 from ergmkit.forest import ForestConfig, RandomForest
 
-from conftest import rng
+from conftest import reference_forest, rng
 
 
 class TestConfig:
@@ -26,6 +28,22 @@ class TestConfig:
             forest.fit(np.zeros((1, 2)), np.zeros(1), seed=0)
         with pytest.raises(ConfigError, match="same length"):
             forest.fit(np.zeros((5, 2)), np.zeros(4), seed=0)
+
+    @pytest.mark.parametrize(
+        "classify, x, y, named",
+        [
+            pytest.param(False, [0, np.nan, 1], [0, 1, 2], "features", id="nan-feature"),
+            pytest.param(True, [0, np.nan, 1], [0, 1, 1], "features", id="nan-feature-class"),
+            pytest.param(False, [0, 1, 2], [0, np.nan, 2], "labels", id="nan-label"),
+            pytest.param(True, [0, 1, 2], [0, np.nan, 1], "labels", id="nan-class"),
+            pytest.param(True, [0, 1, 2], [0, -1, 1], "non-negative", id="negative-class"),
+            pytest.param(True, [0, 1, 2], [0, 0.5, 1], "integers", id="fractional-class"),
+        ],
+    )
+    def test_bad_training_data_is_data_error(self, classify, x, y, named):
+        forest = RandomForest(ForestConfig(trees=2), classify=classify)
+        with pytest.raises(DataError, match=named):
+            forest.fit(np.array(x, dtype=float)[:, None], np.array(y), seed=0)
 
 
 class TestClassification:
@@ -50,6 +68,15 @@ class TestClassification:
         rf = RandomForest(ForestConfig(trees=16), classify=True).fit(X, y, seed=3)
         pred = rf.predict(np.array([[0.0], [1.0]]))
         assert pred.tolist() == [0, 1]
+
+    def test_split_between_adjacent_floats(self):
+        # (a + b) / 2 rounds up to b here; the split must still separate a from b
+        a, b = math.nextafter(10.0, 0.0), 10.0
+        X = np.array([[a], [b], [a], [b]])
+        y = np.array([0, 1, 0, 1])
+        rf = RandomForest(ForestConfig(trees=8), classify=True).fit(X, y, seed=4)
+        assert all(t.threshold == a for t in rf._trees if t.value is None)
+        assert rf.predict(np.array([[a], [b]])).tolist() == [0, 1]
 
 
 class TestRegression:
@@ -104,3 +131,52 @@ class TestDeterminism:
         a = RandomForest(ForestConfig(trees=5), classify=False).fit(X, y, seed=1)
         b = RandomForest(ForestConfig(trees=5), classify=False).fit(X, y, seed=2)
         assert not np.allclose(a.predict(X), b.predict(X))
+
+
+def _tuples(node):
+    if node.value is not None:
+        return ("leaf", node.value)
+    return (int(node.feature), node.threshold, _tuples(node.left), _tuples(node.right))
+
+
+@st.composite
+def forest_problems(draw):
+    n = draw(st.integers(2, 80))
+    f = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(f):
+        cell = draw(
+            st.sampled_from(
+                [
+                    st.floats(-10, 10, allow_nan=False),
+                    st.integers(0, 3).map(float),
+                    st.sampled_from([-0.0, 0.0, 1.0]),
+                    st.just(draw(st.floats(-1, 1, allow_nan=False))),  # constant column
+                ]
+            )
+        )
+        columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    classify = draw(st.booleans())
+    if classify:
+        label = st.integers(0, draw(st.integers(0, 11)))
+    else:
+        label = draw(st.sampled_from([st.floats(-100, 100), st.sampled_from([-1.5, 0.0, 2.0])]))
+    y = draw(st.lists(label, min_size=n, max_size=n))
+    mtry = draw(st.one_of(st.none(), st.integers(1, f)))
+    min_leaf = draw(st.integers(1, 5))
+    return np.array(columns).T, np.array(y), classify, mtry, min_leaf
+
+
+class TestReference:
+    @settings(max_examples=200, deadline=None)
+    @given(forest_problems(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_trees_equal_the_per_node_numpy_search(self, problem, trees, seed):
+        X, y, classify, mtry, min_leaf = problem
+        rf = RandomForest(ForestConfig(trees=trees, mtry=mtry, min_leaf=min_leaf), classify)
+        rf.fit(X, y, seed)
+        want, predict, oob_error = reference_forest(X, y, trees, mtry, min_leaf, classify, seed)
+        got = [_tuples(t) for t in rf._trees]
+        assert got == want
+        assert repr(got) == repr(want)  # signed zeros too
+        assert rf.predict(X).tobytes() == predict(X).tobytes()
+        assert repr(rf.oob_error) == repr(oob_error)

@@ -209,6 +209,12 @@ class TestMissForest:
         with pytest.raises(AllMissing):
             impute_missforest(attrs, ["living"], forest=FOREST, seed=0)
 
+    def test_covariate_with_missing_rejected(self):
+        attrs, _, _ = table_with_gaps(seed=18)
+        attrs = attrs.with_columns(continuous("age", [None] + attrs["age"].values[1:].tolist()))
+        with pytest.raises(CovariateMissing, match="'age'"):
+            impute_missforest(attrs, ["living"], forest=FOREST, seed=0)
+
     def test_mixed_targets_complete(self):
         r = rng(15)
         n = 50
@@ -231,6 +237,75 @@ class TestMissForest:
         assert not res.completed["age"].missing_mask().any()
         assert not res.completed["living"].missing_mask().any()
         assert res.method == "MissForest"
+
+
+def paper_like_table(blank_age: bool) -> AttributeTable:
+    """n = 120 with sex, education, age and living, as in the paper's data.
+
+    Living depends on age; a 15% MCAR share of living is blank, or with
+    ``blank_age`` a 10% share of age instead.
+    """
+    r = rng(2021)
+    n = 120
+    sex = r.integers(0, 2, size=n)
+    education = r.integers(0, 3, size=n)
+    age = np.round(r.normal(38.0, 11.0, size=n), 1)
+    own = (age > 40) & (r.random(n) < 0.7)
+    living = np.where(own, 0, r.integers(1, 3, size=n))
+    living_gaps = r.random(n) < 0.15
+    age_gaps = r.random(n) < 0.1
+    sexes = ("male", "female")
+    levels = ("less", "high school", "more")
+    places = ("own place", "someone else", "homeless")
+    return AttributeTable(
+        [
+            categorical("sex", list(sexes), [sexes[k] for k in sex]),
+            categorical("education", list(levels), [levels[k] for k in education]),
+            continuous(
+                "age",
+                [None if blank_age and age_gaps[i] else float(age[i]) for i in range(n)],
+            ),
+            categorical(
+                "living",
+                list(places),
+                [
+                    None if not blank_age and living_gaps[i] else places[living[i]]
+                    for i in range(n)
+                ],
+            ),
+        ]
+    )
+
+
+class TestGoldenMissForest:
+    # literal outputs pin the bootstrap and feature streams, the split search
+    # (ties, thresholds, summation order) and the stopping rule
+    def test_categorical_target(self):
+        attrs = paper_like_table(blank_age=False)
+        res = impute_missforest(attrs, ["living"], forest=ForestConfig(trees=10), seed=7)
+        gaps = attrs["living"].missing_mask()
+        assert res.completed["living"].codes[gaps].tolist() == [
+            2, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 2, 0, 1, 1, 0, 2, 2, 0, 0, 1,
+        ]
+        assert res.diagnostics["iterations"] == 2
+        assert res.diagnostics["oob"] == {"living": 0.5154639175257731}
+
+    def test_regression_target(self):
+        attrs = paper_like_table(blank_age=True)
+        res = impute_missforest(attrs, ["age"], forest=ForestConfig(trees=10), seed=7)
+        gaps = attrs["age"].missing_mask()
+        assert res.completed["age"].values[gaps].tolist() == [
+            37.55880303030303,
+            37.55880303030303,
+            31.686618326118328,
+            33.76076232681979,
+            47.736999999999995,
+            31.686618326118328,
+            31.686618326118328,
+            31.686618326118328,
+        ]
+        assert res.diagnostics["iterations"] == 3
+        assert res.diagnostics["oob"] == {"age": 89.7010864179372}
 
 
 class TestMask:
