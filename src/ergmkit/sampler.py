@@ -28,12 +28,25 @@ Randomness comes from numpy's PCG64 stream seeded from SamplerConfig.seed;
 proposal dyads and acceptance uniforms are drawn in blocks, in that order,
 which fixes the bit stream for golden tests. One chain is single threaded;
 run independent chains with distinct seeds for parallelism.
+
+Most proposals on a sparse graph are adds whose uniform is far above any
+acceptance probability the add could have, whatever the degrees. Each
+block of draws is screened in numpy first: per block, exp of an upper
+bound on an add's log-odds (``ChainState.add_thresholds``) is a uniform at
+or above which the rule rejects every add. A proposal runs the rule only
+if its dyad is tied at the start of the block or some proposal of that
+dyad in the block drew a uniform below the threshold. Every skipped
+proposal is an add the rule rejects: its dyad was off at block start and
+could only have been toggled on at an unskipped proposal of the same dyad.
+So the unskipped proposals, run in order, give the same chain bit for bit,
+and the stream, the acceptance rule and the statistics are unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -76,7 +89,8 @@ class SamplerConfig:
 class ChainState:
     """Private mutable chain state on the compiled model's level-pair blocks.
 
-    Per dyad: its ``(i, j, block)`` entry and its bit. Per block: the
+    Per dyad: its ``(i, j, block)`` entry and its bit, one byte of
+    ``bits``, which ``tied`` views as a boolean array. Per block: the
     log-odds ``eta = table . theta`` of every term but gwdegree, and the
     tie count. Per node: the degree. With gwdegree, also its running
     statistic, which accepted toggles move. The statistics are the tie
@@ -90,9 +104,11 @@ class ChainState:
         self.n = g0.n
         self.cm = cm
         iu, ju = np.triu_indices(g0.n, k=1)
-        self.dyads = list(zip(iu.tolist(), ju.tolist(), cm.dyad_blocks().tolist()))
+        self.blocks = cm.dyad_blocks()
+        self.dyads = list(zip(iu.tolist(), ju.tolist(), self.blocks.tolist()))
         self.D = len(self.dyads)
-        self.bits = [0] * self.D
+        self.bits = bytearray(self.D)
+        self.tied = np.frombuffer(self.bits, dtype=np.bool_)
         for i, j in g0.edges:
             self.bits[dyad_index(g0.n, i, j)] = 1
         self.deg = [int(d) for d in g0.degrees()]
@@ -114,7 +130,26 @@ class ChainState:
         return out
 
     def graph(self) -> Graph:
-        return Graph(self.n, [(i, j) for (i, j, _), bit in zip(self.dyads, self.bits) if bit])
+        dyads = self.dyads
+        return Graph(self.n, [dyads[d][:2] for d in self.tied.nonzero()[0].tolist()])
+
+    def add_thresholds(self) -> np.ndarray:
+        """Per block, a uniform at or above which every add is rejected.
+
+        An add's log-odds is ``eta[b] + theta_gw * gw`` with gw a sum of two
+        ``wdiff`` entries, so it is at most ``L = eta[b] + theta_gw * (w + w)``
+        with w the largest entry for theta_gw >= 0 and the smallest
+        otherwise: rounded ``+`` and ``*`` are monotone. The rule rejects
+        when the log-odds is negative and ``u >= exp(log-odds)``, so
+        ``u >= exp(L)`` suffices when L < 0; the factor 1 + 1e-12 covers
+        exp's sub-ulp error. ``fmin`` maps L >= 0, and a NaN L from
+        overflowing terms, to a threshold above 1 that no uniform reaches.
+        """
+        w = 0.0
+        if self.wdiff is not None:
+            w = max(self.wdiff) if self.theta_gw >= 0 else min(self.wdiff)
+        bound = np.array(self.eta) + self.theta_gw * (w + w)
+        return np.exp(np.fmin(bound, 0.0)) * (1 + 1e-12)
 
 
 def _checked_theta(theta: np.ndarray, cm: CompiledModel) -> np.ndarray:
@@ -154,6 +189,12 @@ def sample(
     retained sample are read off that state, and those of the last one are
     checked against a full recompute of its graph. Fully determined by
     inputs + seed.
+
+    Proposals that cannot change the chain are skipped unseen: an add of a
+    dyad that is off at the start of its block of draws, when no proposal
+    of that dyad in the block drew a uniform below its block's threshold.
+    The rule rejects each of them, so the retained statistics and graphs
+    are those of running every proposal.
     """
     state = ChainState(g0, theta, model, attrs)
     burn, thin = cfg.resolve(g0.n)
@@ -163,34 +204,50 @@ def sample(
     graphs: list[Graph] = []
     dyads, bits, deg, eta, ties = state.dyads, state.bits, state.deg, state.eta, state.ties
     wdiff, theta_gw, exp = state.wdiff, state.theta_gw, math.exp
+    threshold = state.add_thresholds()[state.blocks]
+    marked = np.zeros(state.D, dtype=np.bool_)
     done = 0
     next_retain = burn + thin
     kept = 0
     while done < total:
         block = min(_BLOCK, total - done)
-        ds = rng.integers(0, state.D, size=block).tolist()
-        us = rng.random(block).tolist()
-        for d, u in zip(ds, us):
-            i, j, b = dyads[d]
-            bit = bits[d]
-            sign = 1 - 2 * bit
-            # gwdegree change at the endpoint degrees with the dyad absent
-            gw = wdiff[deg[i] - bit] + wdiff[deg[j] - bit] if wdiff is not None else 0.0
-            logodds = sign * (eta[b] + theta_gw * gw)
-            if not (logodds < 0.0 and u >= exp(logodds)):
-                bits[d] = 1 - bit
-                ties[b] += sign
-                deg[i] += sign
-                deg[j] += sign
-                if wdiff is not None:
-                    state.gw += sign * gw
-            done += 1
-            if done == next_retain:
+        ds = rng.integers(0, state.D, size=block)
+        us = rng.random(block)
+        # Only a dyad tied at block start, or one with some uniform below its
+        # threshold in this block, can change in this block: every other
+        # proposal is an add the rule rejects, so it is skipped.
+        hit = ds[us < threshold[ds]]
+        marked[hit] = True
+        visit = np.flatnonzero(marked[ds] | state.tied[ds])
+        marked[hit] = False
+        # retentions fall after these local proposal counts; segment k runs
+        # the visited proposals made before retention k, the last one the rest
+        retain_at = np.arange(next_retain - done, block + 1, thin)
+        retains = len(retain_at)
+        sizes = np.diff(np.searchsorted(visit, retain_at), prepend=0, append=len(visit)).tolist()
+        proposals = zip(ds[visit].tolist(), us[visit].tolist())
+        for k, size in enumerate(sizes):
+            for d, u in islice(proposals, size):
+                i, j, b = dyads[d]
+                bit = bits[d]
+                sign = 1 - 2 * bit
+                # gwdegree change at the endpoint degrees with the dyad absent
+                gw = wdiff[deg[i] - bit] + wdiff[deg[j] - bit] if wdiff is not None else 0.0
+                logodds = sign * (eta[b] + theta_gw * gw)
+                if not (logodds < 0.0 and u >= exp(logodds)):
+                    bits[d] = 1 - bit
+                    ties[b] += sign
+                    deg[i] += sign
+                    deg[j] += sign
+                    if wdiff is not None:
+                        state.gw += sign * gw
+            if k < retains:
                 retained_stats[kept] = state.statistics()
                 if keep_graphs:
                     graphs.append(state.graph())
                 kept += 1
-                next_retain += thin
+        next_retain += thin * retains
+        done += block
     _revalidated(state.cm, state.graph(), state.statistics(), 1e-9)
     return graphs, retained_stats
 

@@ -16,6 +16,7 @@ import pytest
 
 from ergmkit.graph import AttributeTable, Graph, categorical
 from ergmkit.model import (
+    CompiledModel,
     Edges,
     GwDegree,
     ModelSpec,
@@ -383,6 +384,72 @@ def reference_forest(X, y, trees, mtry, min_leaf, classify, seed):
     else:
         oob_error = float(np.mean((oob_sum[seen] / oob_seen[seen] - y[seen]) ** 2))
     return grown, predict, oob_error
+
+
+# ---- Metropolis chain oracle (one proposal at a time) -----------------------
+
+
+def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed, keep_graphs=True):
+    """The toggle chain run on every proposal, as an oracle for ``sample``.
+
+    Proposal dyads and uniforms come from ``PCG64(seed)`` in runs of 2**15,
+    dyads first. Each proposal toggles a uniform dyad with probability
+    min(1, exp(s * theta . delta)), s = +1 for an add and -1 for a removal,
+    evaluated as ``not (logodds < 0 and u >= exp(logodds))``. The chain
+    keeps a bit per dyad, block tie counts, degrees and the running
+    gwdegree statistic, and reads a retained sample's statistics off them
+    after every ``thin`` proposals past ``burn_in``. Returns the retained
+    graphs (or []) and statistics.
+    """
+    cm = CompiledModel(model, attrs, g0.n)
+    theta = np.asarray(theta, dtype=np.float64)
+    n = g0.n
+    dyads = all_dyads(n)
+    block_of = cm.dyad_blocks().tolist()
+    tie = [int(g0.has_edge(i, j)) for i, j in dyads]
+    ties = [0] * len(cm.table)
+    for d in range(len(dyads)):
+        ties[block_of[d]] += tie[d]
+    degree = [g0.degree(i) for i in range(n)]
+    eta = (cm.table @ theta).tolist()
+    gw_at = cm._gw_offset
+    gw_theta = float(theta[gw_at]) if gw_at is not None else 0.0
+    wdiff = cm._wdiff.tolist() if gw_at is not None else None
+    gw_stat = float(cm.statistics(g0)[gw_at]) if gw_at is not None else 0.0
+
+    def statistics():
+        row = np.array(ties) @ cm.table
+        if gw_at is not None:
+            row[gw_at] = gw_stat
+        return row
+
+    total = burn_in + thin * sample_count
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stats, graphs = [], []
+    made = 0
+    while made < total:
+        size = min(1 << 15, total - made)
+        picks = rng.integers(0, len(dyads), size=size).tolist()
+        uniforms = rng.random(size).tolist()
+        for d, u in zip(picks, uniforms):
+            i, j = dyads[d]
+            b, bit = block_of[d], tie[d]
+            sign = 1 - 2 * bit
+            change = wdiff[degree[i] - bit] + wdiff[degree[j] - bit] if wdiff is not None else 0.0
+            logodds = sign * (eta[b] + gw_theta * change)
+            if not (logodds < 0.0 and u >= math.exp(logodds)):
+                tie[d] = 1 - bit
+                ties[b] += sign
+                degree[i] += sign
+                degree[j] += sign
+                if wdiff is not None:
+                    gw_stat += sign * change
+            made += 1
+            if made > burn_in and (made - burn_in) % thin == 0:
+                stats.append(statistics())
+                if keep_graphs:
+                    graphs.append(Graph(n, [dyads[k] for k in range(len(dyads)) if tie[k]]))
+    return graphs, np.array(stats).reshape(sample_count, cm.p)
 
 
 # ---- attribute builders ---------------------------------------------------

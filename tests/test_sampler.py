@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from ergmkit.errors import ConfigError, TooFewNodes
@@ -17,10 +19,11 @@ from ergmkit.sampler import (
     simulation_counters,
 )
 
-from conftest import two_level_attrs
+from conftest import random_graph, reference_chain, two_level_attrs
 
 
 EDGES = ModelSpec([Edges()])
+BLOCK = 1 << 15  # proposals drawn per run of the PCG64 stream
 
 
 class TestConfig:
@@ -180,6 +183,56 @@ class TestGoldenStream:
             (0, 2), (0, 5), (1, 3), (1, 4), (1, 5), (1, 6), (2, 6),
             (2, 7), (3, 5), (3, 7), (4, 5), (4, 6), (6, 7),
         ]
+
+
+@st.composite
+def chain_controls(draw):
+    """(burn_in, thin, sample_count): short runs, or runs that end on a
+    2**15 block edge, or that retain at a block's last proposal and go on."""
+    thin = draw(st.integers(1, 3000))
+    count = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["short", "ends_on_edge", "retains_on_edge"]))
+    if shape == "short":
+        return draw(st.integers(0, 400)), thin, count
+    if shape == "ends_on_edge":
+        return draw(st.integers(1, 2)) * BLOCK - thin * count, thin, count
+    return BLOCK - thin * draw(st.integers(1, count)), thin, count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    start=st.sampled_from(["empty", "random", "complete"]),
+    match=st.booleans(),
+    gw=st.booleans(),
+    theta=st.tuples(
+        st.floats(-6.0, 3.0), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0)
+    ),
+    controls=chain_controls(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, start="random", match=True, gw=True, theta=(800.0, 0.3, 0.2),
+         controls=(100, 7, 5), seed=1)
+@example(n=6, start="complete", match=True, gw=True, theta=(-50.0, 0.3, -0.2),
+         controls=(100, 7, 5), seed=2)
+@example(n=9, start="random", match=False, gw=True, theta=(-1.0, 0.0, 0.5),
+         controls=(BLOCK - 40, 1, 60), seed=3)
+def test_sample_equals_reference_chain(n, start, match, gw, theta, controls, seed):
+    attrs = two_level_attrs(n, n // 2)
+    terms, values = [Edges()], [theta[0]]
+    if match:
+        terms.append(NodeMatch("grp", differential=False))
+        values.append(theta[1])
+    if gw:
+        terms.append(GwDegree(0.5))
+        values.append(theta[2])
+    model, values = ModelSpec(terms), np.array(values)
+    g0 = random_graph(n, {"empty": 0.0, "random": 0.3, "complete": 1.0}[start], seed % 1000)
+    burn, thin, count = controls
+    graphs, stats = sample(g0, values, model, attrs, SamplerConfig(burn, thin, count, seed))
+    want_graphs, want_stats = reference_chain(g0, values, model, attrs, burn, thin, count, seed)
+    assert np.array_equal(stats, want_stats)
+    assert [g.edges for g in graphs] == [g.edges for g in want_graphs]
 
 
 class TestSimulate:
