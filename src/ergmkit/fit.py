@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import ConfigError, Degeneracy, NonConvergence, Separation, Singula
 from .graph import AttributeTable, Graph
 from .logistic import collinear_terms, fit_logistic, sigmoid
 from .model import CompiledModel, Edges, ModelSpec, TermSpec, term_to_dict
-from .sampler import SamplerConfig, sample, simulate, write_stats_trace
+from .sampler import SamplerConfig, simulate, simulation_counters, write_stats_trace
 
 Z_95 = 1.959964
 
@@ -186,11 +186,6 @@ def fit_mple(g: Graph, attrs: AttributeTable, model: ModelSpec) -> FitResult:
     )
 
 
-def _sub_seeds(seed: int, count: int) -> list[int]:
-    ss = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1, np.uint64)[0]) for child in ss.spawn(count)]
-
-
 def _check_degeneracy(obs: np.ndarray, stats: np.ndarray, names) -> None:
     mean = stats.mean(axis=0)
     sd = stats.std(axis=0)
@@ -214,14 +209,17 @@ def fit_mcmle(
 ) -> FitResult:
     """Monte Carlo MLE by repeated importance-sampled maximization.
 
-    Each round samples at the current parameter and Newton-maximizes the
-    log-likelihood-ratio estimate; the round converges when the estimated
-    gradient norm drops to 1e-3 * p without the step being truncated by
-    the effective-sample-size floor. The covariance is the inverse of the
+    Each round draws ``cfg.sample_count`` graphs at the current parameter
+    with ``simulate`` and Newton-maximizes the log-likelihood-ratio
+    estimate; the round converges when the estimated gradient norm drops
+    to 1e-3 * p without the step being truncated by the
+    effective-sample-size floor. The covariance is the inverse of the
     weighted sample covariance of the statistics at the solution; a
     confirmation sample whose statistics do not vary independently raises
-    SingularInformation naming them. ``diagnostics["proposals"]`` counts
-    the MH proposals of every round and of the confirmation sample.
+    SingularInformation naming them. A dyad-independent model gets i.i.d.
+    exact draws, so ``cfg.burn_in``/``cfg.thin`` apply only to models with
+    gwdegree. ``diagnostics["proposals"]`` counts the MH proposals of every
+    round and of the confirmation sample, 0 for exact draws.
     """
     cm = CompiledModel(model, attrs, g.n)
     p = cm.p
@@ -230,18 +228,17 @@ def fit_mcmle(
         theta_t = fit_mple(g, attrs, model).theta.copy()
     else:
         theta_t = np.asarray(theta0, dtype=np.float64).copy()
-    seeds = _sub_seeds(cfg.seed, max_outer + 1)
+    # one config per round and one for the confirmation sample, each seeded
+    # from a child of cfg.seed's SeedSequence
+    streams = np.random.SeedSequence(cfg.seed).spawn(max_outer + 1)
+    cfgs = [replace(cfg, seed=int(s.generate_state(1, np.uint64)[0])) for s in streams]
     grad_tol = 1e-3 * p
-    M = cfg.sample_count
-    ess_floor = max(5.0, M / 100.0)
+    ess_floor = max(5.0, cfg.sample_count / 100.0)
     theta_hat = None
     outer_used = 0
     for outer in range(max_outer):
         outer_used = outer + 1
-        round_cfg = SamplerConfig(
-            burn_in=cfg.burn_in, thin=cfg.thin, sample_count=M, seed=seeds[outer]
-        )
-        _, S = sample(g, theta_t, model, attrs, round_cfg, keep_graphs=False)
+        _, S = simulate(g, theta_t, model, attrs, cfgs[outer], keep_graphs=False)
         _check_degeneracy(obs, S, cm.stat_names)
         delta = np.zeros(p)
         converged = False
@@ -287,10 +284,7 @@ def fit_mcmle(
         )
     # confirmation sample at the solution: weights are uniform, so the
     # weighted statistic covariance is the plain sample covariance
-    final_cfg = SamplerConfig(
-        burn_in=cfg.burn_in, thin=cfg.thin, sample_count=M, seed=seeds[max_outer]
-    )
-    _, S = sample(g, theta_hat, model, attrs, final_cfg, keep_graphs=False)
+    _, S = simulate(g, theta_hat, model, attrs, cfgs[max_outer], keep_graphs=False)
     _check_degeneracy(obs, S, cm.stat_names)
     mean = S.mean(axis=0)
     centered = S - mean
@@ -313,7 +307,7 @@ def fit_mcmle(
         rows=or_table(theta_hat, covariance, cm.stat_names),
         diagnostics={
             "iterations": outer_used,
-            "proposals": (outer_used + 1) * cfg.proposals(g.n),
+            "proposals": (outer_used + 1) * simulation_counters(model, g.n, cfg)["proposals"],
             "grad_norm": gnorm,
             "ess": float(len(S)),
             "mc_se": [float(v) for v in mc_se],

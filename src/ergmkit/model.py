@@ -223,21 +223,21 @@ class CompiledModel:
         self.pair[b, a] = np.arange(P)
         names: list[str] = []
         parts = [np.zeros((P, 0))]
+        # gwdegree weights w(k), k = 0..n + 1, all zero without the term
         self._gw_offset = None
-        self._w = None
-        self._wdiff = None
+        self._w = np.zeros(n + 2)
         for term in model.terms:
             col = columns.get(getattr(term, "attr", None))
             # level of the term's column in each group (any node of it)
             level = col.codes[first] if col is not None else np.zeros(K, dtype=np.int64)
             tnames, rows = _term_columns(term, col, level[a], level[b])
             if isinstance(term, GwDegree):
-                # gwdegree weight difference table: wdiff[k] = w(k+1) - w(k)
                 self._gw_offset = len(names)
                 self._w = _gw_weights(term.decay, n + 1)
-                self._wdiff = self._w[1:] - self._w[:-1]
             names.extend(tnames)
             parts.append(rows)
+        # gwdegree weight difference table: wdiff[k] = w(k+1) - w(k)
+        self._wdiff = self._w[1:] - self._w[:-1]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate statistic names in model: {names}")
         self.p = len(names)

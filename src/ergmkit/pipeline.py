@@ -145,10 +145,10 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
     def path(p):
         return str(base / p) if base is not None and not Path(p).is_absolute() else str(p)
 
-    def setting(where: str, convert, value):
-        """``convert(value)`` unless None; a malformed value is a ConfigError naming it."""
+    def setting(where: str, convert, value, nullable: bool = False):
+        """``convert(value)`` or a nullable None; a malformed value is a ConfigError naming it."""
         try:
-            return None if value is None else convert(value)
+            return None if value is None and nullable else convert(value)
         except KeyError as exc:
             raise ConfigError(f"config {where}: missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
@@ -161,6 +161,16 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
             raise ConfigError(f"config {where}: expected {what}, got {value!r}")
         return value
 
+    def count(value) -> int:
+        if type(value) not in (int, float) or value % 1 != 0:  # bool, text, fraction, inf, nan
+            raise ValueError(f"expected a whole number, got {value!r}")
+        return int(value)
+
+    def flag(value) -> bool:
+        if type(value) is not bool:
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value
+
     def names(where: str, value) -> tuple[str, ...]:
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"config {where}: expected a list of strings, got {value!r}")
@@ -169,7 +179,7 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
     json_type("top level", dict, d)
     imp = json_type("imputation", dict, d.get("imputation", {}))
     fit = json_type("fit", dict, d.get("fit", {}))
-    seed = setting("seed", int, d.get("seed", 0))
+    seed = setting("seed", count, d.get("seed", 0))
     try:
         return RunConfig(
             edges=path(d["edges"]),
@@ -180,15 +190,13 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
             family=d.get("family", "match"),
             attributes_used=names("attributes_used", d.get("attributes_used", [])),
             final_candidates=tuple(
-                setting(f"final_candidates[{k}]", term_from_dict, c)
+                setting(f"final_candidates[{k}]", term_from_dict, c, nullable=True)
                 for k, c in enumerate(
                     json_type("final_candidates", list, d.get("final_candidates", []))
                 )
             ),
             gwdegree=setting(
-                "gwdegree",
-                lambda decay: term_from_dict({"term": "gwdegree", "decay": decay}),
-                d.get("gwdegree"),
+                "gwdegree", lambda decay: GwDegree(float(decay)), d.get("gwdegree"), nullable=True
             ),
             imputation_targets=names("imputation.targets", imp.get("targets", [])),
             imputation_covariates=(
@@ -197,19 +205,19 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
                 else None
             ),
             forest=ForestConfig(
-                trees=setting("imputation.trees", int, imp.get("trees", 100)),
-                mtry=setting("imputation.mtry", int, imp.get("mtry")),
-                min_leaf=setting("imputation.min_leaf", int, imp.get("min_leaf", 1)),
+                trees=setting("imputation.trees", count, imp.get("trees", 100)),
+                mtry=setting("imputation.mtry", count, imp.get("mtry"), nullable=True),
+                min_leaf=setting("imputation.min_leaf", count, imp.get("min_leaf", 1)),
             ),
             fit_method=fit.get("method", "mple"),
             sampler=SamplerConfig(
-                burn_in=setting("fit.burn_in", int, fit.get("burn_in")),
-                thin=setting("fit.thin", int, fit.get("thin")),
-                sample_count=setting("fit.samples", int, fit.get("samples", 512)),
+                burn_in=setting("fit.burn_in", count, fit.get("burn_in"), nullable=True),
+                thin=setting("fit.thin", count, fit.get("thin"), nullable=True),
+                sample_count=setting("fit.samples", count, fit.get("samples", 512)),
                 seed=seed,
             ),
-            gof_samples=setting("fit.gof_samples", int, fit.get("gof_samples", 200)),
-            gof_trace=bool(fit.get("trace", False)),
+            gof_samples=setting("fit.gof_samples", count, fit.get("gof_samples", 200)),
+            gof_trace=setting("fit.trace", flag, fit.get("trace", False)),
             screen_alpha=setting("fit.screen_alpha", float, fit.get("screen_alpha", 0.2)),
             seed=seed,
             out=path(d.get("out", "out")),

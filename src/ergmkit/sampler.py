@@ -6,10 +6,10 @@ variable, so its graphs are drawn exactly: the tie probability is
 computed once per level-pair block of the compiled model and gathered per
 dyad, and each retained sample takes one run of D uniforms from the PCG64
 stream seeded from SamplerConfig.seed and keeps the dyads whose uniform
-falls below their probability. Samples are independent. Models with
-gwdegree run the Metropolis-Hastings chain of ``sample``, which is also
-the kernel of MC-MLE; ``burn_in``/``thin`` apply only to MC-MLE and
-gwdegree models.
+falls below their probability. Samples are independent, so MC-MLE on a
+dyad-independent model uses i.i.d. exact draws too. Models with gwdegree
+run the Metropolis-Hastings chain of ``sample``; ``burn_in``/``thin``
+apply only to gwdegree models.
 
 The MH kernel, the proposal loop of ``sample`` and the only place the
 toggle rule runs, proposes a uniformly random dyad toggle and accepts with
@@ -19,10 +19,12 @@ is the conditional log-odds form, so detailed balance with respect to the
 model distribution holds by construction. The chain keeps the sufficient
 statistic the rest of the package uses, as running sums that accepted
 toggles move (as in ergm): each dyad knows only its level-pair block,
-whose log-odds theta . delta without gwdegree is computed once; a toggle
+whose log-odds theta . delta without gwdegree is computed once, and its
+endpoints are decoded from its position when it is proposed; a toggle
 moves the block's tie count, the two degrees and the gwdegree statistic;
 a retained sample's statistics are the tie counts times the compiled
-table, with the gwdegree entry set.
+table, with the gwdegree entry set. A model without gwdegree runs the
+same rule with zero gwdegree weights and parameter.
 
 Randomness comes from numpy's PCG64 stream seeded from SamplerConfig.seed;
 proposal dyads and acceptance uniforms are drawn in blocks, in that order,
@@ -89,13 +91,16 @@ class SamplerConfig:
 class ChainState:
     """Private mutable chain state on the compiled model's level-pair blocks.
 
-    Per dyad: its ``(i, j, block)`` entry and its bit, one byte of
-    ``bits``, which ``tied`` views as a boolean array. Per block: the
-    log-odds ``eta = table . theta`` of every term but gwdegree, and the
-    tie count. Per node: the degree. With gwdegree, also its running
-    statistic, which accepted toggles move. The statistics are the tie
-    counts times the table with the gwdegree entry set, the same sufficient
-    statistic as ``CompiledModel.statistics``.
+    Per dyad, in lexicographic order: its block, in ``blocks``, and its
+    bit, one byte of ``bits``, which ``tied`` views as a boolean array; a
+    dyad's endpoints follow from its position (``dyad_endpoints``). Per
+    block: the log-odds ``eta = table . theta`` of every term but
+    gwdegree, and the tie count. Per node: the degree. The gwdegree weight
+    differences ``wdiff``, its parameter ``theta_gw`` and its running
+    statistic, which accepted toggles move, are all zero without gwdegree,
+    so one toggle rule serves every model. The statistics are the tie
+    counts times the table with the gwdegree entry set, the same
+    sufficient statistic as ``CompiledModel.statistics``.
     """
 
     def __init__(self, g0: Graph, theta: np.ndarray, model: ModelSpec, attrs: AttributeTable):
@@ -103,10 +108,8 @@ class ChainState:
         theta = _checked_theta(theta, cm)
         self.n = g0.n
         self.cm = cm
-        iu, ju = np.triu_indices(g0.n, k=1)
         self.blocks = cm.dyad_blocks()
-        self.dyads = list(zip(iu.tolist(), ju.tolist(), self.blocks.tolist()))
-        self.D = len(self.dyads)
+        self.D = len(self.blocks)
         self.bits = bytearray(self.D)
         self.tied = np.frombuffer(self.bits, dtype=np.bool_)
         for i, j in g0.edges:
@@ -115,13 +118,9 @@ class ChainState:
         self.eta = (cm.table @ theta).tolist()
         self.ties = cm.block_ties(g0).tolist()
         self.gw_offset = cm._gw_offset
-        if self.gw_offset is not None:
-            self.theta_gw = float(theta[self.gw_offset])
-            self.wdiff = [float(v) for v in cm._wdiff]
-            self.gw = float(cm.statistics(g0)[self.gw_offset])
-        else:
-            self.theta_gw = 0.0
-            self.wdiff = None
+        self.theta_gw = 0.0 if self.gw_offset is None else float(theta[self.gw_offset])
+        self.wdiff = cm._wdiff.tolist()
+        self.gw = float(cm._w[g0.degrees()].sum())
 
     def statistics(self) -> np.ndarray:
         out = np.array(self.ties) @ self.cm.table
@@ -130,8 +129,7 @@ class ChainState:
         return out
 
     def graph(self) -> Graph:
-        dyads = self.dyads
-        return Graph(self.n, [dyads[d][:2] for d in self.tied.nonzero()[0].tolist()])
+        return Graph(self.n, dyad_endpoints(self.n, self.tied.nonzero()[0]).tolist())
 
     def add_thresholds(self) -> np.ndarray:
         """Per block, a uniform at or above which every add is rejected.
@@ -145,9 +143,7 @@ class ChainState:
         exp's sub-ulp error. ``fmin`` maps L >= 0, and a NaN L from
         overflowing terms, to a threshold above 1 that no uniform reaches.
         """
-        w = 0.0
-        if self.wdiff is not None:
-            w = max(self.wdiff) if self.theta_gw >= 0 else min(self.wdiff)
+        w = max(self.wdiff) if self.theta_gw >= 0 else min(self.wdiff)
         bound = np.array(self.eta) + self.theta_gw * (w + w)
         return np.exp(np.fmin(bound, 0.0)) * (1 + 1e-12)
 
@@ -202,9 +198,9 @@ def sample(
     total = cfg.proposals(g0.n)
     retained_stats = np.empty((cfg.sample_count, state.cm.p))
     graphs: list[Graph] = []
-    dyads, bits, deg, eta, ties = state.dyads, state.bits, state.deg, state.eta, state.ties
+    blocks, bits, deg, eta, ties = state.blocks, state.bits, state.deg, state.eta, state.ties
     wdiff, theta_gw, exp = state.wdiff, state.theta_gw, math.exp
-    threshold = state.add_thresholds()[state.blocks]
+    threshold = state.add_thresholds()[blocks]
     marked = np.zeros(state.D, dtype=np.bool_)
     done = 0
     next_retain = burn + thin
@@ -225,22 +221,22 @@ def sample(
         retain_at = np.arange(next_retain - done, block + 1, thin)
         retains = len(retain_at)
         sizes = np.diff(np.searchsorted(visit, retain_at), prepend=0, append=len(visit)).tolist()
-        proposals = zip(ds[visit].tolist(), us[visit].tolist())
+        dv = ds[visit]
+        i_v, j_v = dyad_endpoints(state.n, dv).T.tolist()
+        proposals = zip(dv.tolist(), i_v, j_v, blocks[dv].tolist(), us[visit].tolist())
         for k, size in enumerate(sizes):
-            for d, u in islice(proposals, size):
-                i, j, b = dyads[d]
+            for d, i, j, b, u in islice(proposals, size):
                 bit = bits[d]
                 sign = 1 - 2 * bit
                 # gwdegree change at the endpoint degrees with the dyad absent
-                gw = wdiff[deg[i] - bit] + wdiff[deg[j] - bit] if wdiff is not None else 0.0
+                gw = wdiff[deg[i] - bit] + wdiff[deg[j] - bit]
                 logodds = sign * (eta[b] + theta_gw * gw)
                 if not (logodds < 0.0 and u >= exp(logodds)):
                     bits[d] = 1 - bit
                     ties[b] += sign
                     deg[i] += sign
                     deg[j] += sign
-                    if wdiff is not None:
-                        state.gw += sign * gw
+                    state.gw += sign * gw
             if k < retains:
                 retained_stats[kept] = state.statistics()
                 if keep_graphs:

@@ -81,14 +81,15 @@ def run_verification(verbose: bool = True) -> bool:
         f"{got:.12f} vs {expect_edges:.12f}",
     )
 
-    # sampler moments against enumeration (short run)
-    theta = np.array([-0.3, 0.8])
+    # chain moments against enumeration (short run), on the dyad-dependent
+    # model class the chain serves
     model_s = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
+    model_gw = ModelSpec(list(model_s.terms) + [GwDegree(0.5)])
+    theta = np.array([-0.3, 0.8, 0.4])
     attrs5 = _fixture(5)
-    dist5 = exact_distribution(5, attrs5, model_s, theta)
-    want = exact_expected_stats(dist5)
+    want = exact_expected_stats(exact_distribution(5, attrs5, model_gw, theta))
     cfg = SamplerConfig(burn_in=2000, thin=20, sample_count=20000, seed=2024)
-    _, stats_mat = sample(Graph(5), theta, model_s, attrs5, cfg, keep_graphs=False)
+    _, stats_mat = sample(Graph(5), theta, model_gw, attrs5, cfg, keep_graphs=False)
     got_mean = stats_mat.mean(axis=0)
     se = stats_mat.std(axis=0) / math.sqrt(len(stats_mat))
     ok = bool(np.all(np.abs(got_mean - want) <= 4.0 * np.maximum(se, 1e-6)))

@@ -204,6 +204,32 @@ class TestExitCodes:
                 "config imputation.covariates: expected a list of strings",
                 id="covariates-string",
             ),
+            pytest.param(
+                {"fit": {"trace": "false"}},
+                "config fit.trace: expected true or false",
+                id="trace-text",
+            ),
+            pytest.param({"fit": {"trace": 1}}, "config fit.trace", id="trace-number"),
+            pytest.param(
+                {"imputation": {"trees": 2.7}},
+                "config imputation.trees: expected a whole number",
+                id="trees-fraction",
+            ),
+            pytest.param({"imputation": {"trees": True}}, "imputation.trees", id="trees-boolean"),
+            pytest.param({"imputation": {"mtry": 1.5}}, "imputation.mtry", id="mtry-fraction"),
+            pytest.param(
+                {"imputation": {"min_leaf": 0.5}}, "imputation.min_leaf", id="min-leaf-fraction"
+            ),
+            pytest.param({"seed": 5.5}, "config seed: expected a whole number", id="seed-fraction"),
+            pytest.param({"seed": True}, "config seed", id="seed-boolean"),
+            pytest.param({"seed": None}, "config seed", id="seed-null"),
+            pytest.param({"fit": {"samples": 64.5}}, "fit.samples", id="samples-fraction"),
+            pytest.param({"fit": {"samples": "64"}}, "fit.samples", id="samples-numeric-text"),
+            pytest.param({"fit": {"burn_in": 10.5}}, "fit.burn_in", id="burn-in-fraction"),
+            pytest.param({"fit": {"thin": False}}, "fit.thin", id="thin-boolean"),
+            pytest.param(
+                {"fit": {"gof_samples": 20.5}}, "fit.gof_samples", id="gof-samples-fraction"
+            ),
         ],
     )
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, overrides, named):

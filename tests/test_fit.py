@@ -9,6 +9,7 @@ from scipy import optimize
 from ergmkit.errors import Degeneracy, RankDeficient, Separation, SingularInformation
 from ergmkit.exact import exact_mle
 import ergmkit.fit as fit_module
+import ergmkit.sampler as sampler_module
 from ergmkit.fit import (
     Z_95,
     fit_counters,
@@ -255,7 +256,7 @@ class TestMcmle:
         def constant_match(g0, theta, model, attrs, cfg, keep_graphs=True):
             return [], S.copy()
 
-        monkeypatch.setattr(fit_module, "sample", constant_match)
+        monkeypatch.setattr(fit_module, "simulate", constant_match)
         cfg = SamplerConfig(burn_in=10, thin=2, sample_count=100, seed=1)
         with pytest.raises(SingularInformation, match="nodematch.grp") as err:
             fit_mcmle(g, attrs, model, cfg, theta0=np.array([-0.5, 0.2]))
@@ -263,18 +264,48 @@ class TestMcmle:
         assert err.value.exit_code == 3
 
     def test_round_and_proposal_counters(self):
+        # exact draws make no MH proposals; the chain makes burn_in + thin * M
+        # per round and for the confirmation sample
         attrs = two_level_attrs(5, 3)
-        model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
-        g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4)])
         cfg = SamplerConfig(burn_in=200, thin=5, sample_count=2000, seed=3)
-        r = fit_mcmle(g, attrs, model, cfg)
-        rounds = r.diagnostics["iterations"]
-        assert r.diagnostics["proposals"] == (rounds + 1) * (200 + 5 * 2000)
-        assert fit_counters(r) == {
-            "method": "MCMLE",
-            "rounds": rounds,
-            "proposals": r.diagnostics["proposals"],
-        }
+        for g, model, per_round in [
+            (
+                Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4)]),
+                ModelSpec([Edges(), NodeMatch("grp", differential=False)]),
+                0,
+            ),
+            (
+                Graph(5, [(0, 1), (0, 3), (1, 2)]),
+                ModelSpec([Edges(), GwDegree(0.5)]),
+                200 + 5 * 2000,
+            ),
+        ]:
+            r = fit_mcmle(g, attrs, model, cfg)
+            rounds = r.diagnostics["iterations"]
+            assert r.diagnostics["proposals"] == (rounds + 1) * per_round
+            assert fit_counters(r) == {
+                "method": "MCMLE",
+                "rounds": rounds,
+                "proposals": r.diagnostics["proposals"],
+            }
+
+    def test_dyad_independent_fit_draws_exactly(self, monkeypatch):
+        # no chain runs, so burn-in and thinning cannot change the estimate;
+        # a gwdegree fit still runs the chain
+        def no_chain(*args, **kwargs):
+            raise AssertionError("the Metropolis chain ran")
+
+        monkeypatch.setattr(sampler_module, "sample", no_chain)
+        attrs = two_level_attrs(5, 3)
+        g = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 4)])
+        model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
+        short = fit_mcmle(g, attrs, model, SamplerConfig(0, 1, 2000, seed=12))
+        long = fit_mcmle(g, attrs, model, SamplerConfig(10**5, 10**3, 2000, seed=12))
+        assert short.diagnostics["proposals"] == long.diagnostics["proposals"] == 0
+        assert short.theta.tobytes() == long.theta.tobytes()
+        g_gw, gw_model = Graph(5, [(0, 1), (0, 3), (1, 2)]), ModelSpec([Edges(), GwDegree(0.5)])
+        with pytest.raises(AssertionError, match="chain ran"):
+            fit_mcmle(g_gw, attrs, gw_model, SamplerConfig(0, 1, 2000, seed=12))
 
     def test_moment_condition_at_solution(self):
         attrs = two_level_attrs(5, 3)

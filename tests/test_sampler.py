@@ -194,9 +194,13 @@ def chain_controls(draw):
     shape = draw(st.sampled_from(["short", "ends_on_edge", "retains_on_edge"]))
     if shape == "short":
         return draw(st.integers(0, 400)), thin, count
+    # thin * count can pass one block (3000 * 12 > 2**15), so the edge is
+    # taken one block later where it would make the burn-in negative
     if shape == "ends_on_edge":
-        return draw(st.integers(1, 2)) * BLOCK - thin * count, thin, count
-    return BLOCK - thin * draw(st.integers(1, count)), thin, count
+        edge = (draw(st.integers(1, 2)) + thin * count // BLOCK) * BLOCK
+        return edge - thin * count, thin, count
+    kept = draw(st.integers(1, count))
+    return (1 + thin * kept // BLOCK) * BLOCK - thin * kept, thin, count
 
 
 @settings(max_examples=60, deadline=None)
