@@ -62,7 +62,6 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     changes = {}
     if getattr(args, "seed", None) is not None:
         changes["seed"] = args.seed
-        changes["sampler"] = replace(config.sampler, seed=args.seed)
     if getattr(args, "scope", None):
         changes["scope"] = args.scope
     if getattr(args, "missing", None):
@@ -161,7 +160,7 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_verification
 
-    ok = run_verification(verbose=True)
+    ok = run_verification()
     return 0 if ok else 1
 
 

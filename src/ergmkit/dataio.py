@@ -1,4 +1,5 @@
-"""File formats: edge list CSV, node attribute CSV, and the schema sidecar.
+"""File formats: edge list CSV, node attribute CSV, the schema sidecar, and
+the typed readers every JSON input goes through.
 
 Edge lists are two-column CSVs with a ``source,target`` header. Attribute
 files put ids in the first column and one attribute per remaining column;
@@ -6,13 +7,19 @@ an empty cell is a missing value. The schema JSON declares each column
 categorical (with level order) or continuous, plus optional recode maps
 and reference levels/pairs used by the model builders. Reading applies the
 recode maps, so every loaded categorical column is on its declared levels.
+
+The run config, the schema, the synth spec and the model terms are read
+field by field with the readers below. A reader takes the field's dotted
+path (``where``) and its decoded JSON value, and returns the value typed
+or raises a ConfigError naming the field.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +34,123 @@ from .graph import (
 )
 
 
+def _wrong(where: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"config {where}: expected {expected}, got {value!r}")
+
+
+def count(where: str, value) -> int:
+    if type(value) not in (int, float) or value % 1 != 0:  # bool, text, fraction, inf, nan
+        raise _wrong(where, "a whole number", value)
+    return int(value)
+
+
+def number(where: str, value) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise _wrong(where, "a finite number", value)
+    return float(value)
+
+
+def rate(where: str, value) -> float:
+    if type(value) not in (int, float) or not 0 <= value <= 1:  # nan fails the comparison
+        raise _wrong(where, "a number in [0, 1]", value)
+    return float(value)
+
+
+def flag(where: str, value) -> bool:
+    if type(value) is not bool:
+        raise _wrong(where, "true or false", value)
+    return value
+
+
+def text(where: str, value) -> str:
+    if not isinstance(value, str):
+        raise _wrong(where, "a string", value)
+    return value
+
+
+def names(where: str, value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise _wrong(where, "a list of strings", value)
+    return tuple(value)
+
+
+def level_pair(where: str, value) -> tuple[str, str]:
+    if len(names(where, value)) != 2:
+        raise _wrong(where, "a list of two strings", value)
+    return (value[0], value[1])
+
+
+def each(read):
+    """Reader of a JSON list whose items ``read`` reads, item k named ``where[k]``."""
+
+    def read_list(where: str, value) -> tuple:
+        if not isinstance(value, list):
+            raise _wrong(where, "a list", value)
+        return tuple(read(f"{where}[{k}]", v) for k, v in enumerate(value))
+
+    return read_list
+
+
+def mapped(read):
+    """Reader of a JSON object whose values ``read`` reads, each named ``where.key``."""
+
+    def read_object(where: str, value) -> dict:
+        return {k: read(f"{where}.{k}", v) for k, v in JsonObject(where, value).fields.items()}
+
+    return read_object
+
+
+def checked(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ConfigError from its own checks named ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"config {where}: {exc}") from None
+
+
+def read_record(where: str, value, cls, readers: dict):
+    """Dataclass ``cls`` from the JSON object at ``where``: each field in
+    ``readers`` read by its reader, an absent one taking the class's default."""
+    obj = JsonObject(where, value)
+    defaults = {f.name: f.default for f in fields(cls)}
+    return checked(where, cls, **{k: obj.get(k, read, defaults[k]) for k, read in readers.items()})
+
+
+def record_dict(record) -> dict:
+    """The fields of a dataclass as ``read_record`` reads them, tuples as lists."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
+class JsonObject:
+    """A JSON object at path ``where`` ("" at the top level), read field by field."""
+
+    def __init__(self, where: str, value):
+        self.where = where
+        if not isinstance(value, dict):
+            raise _wrong(where or "top level", "an object", value)
+        self.fields = value
+
+    def get(self, key: str, read, default=MISSING):
+        """``read`` of field ``key``; an absent field is ``default`` (required
+        without one), and null is allowed only where the default is None."""
+        if key not in self.fields:
+            if default is MISSING:
+                raise ConfigError(f"config {self.where or 'top level'}: missing key {key!r}")
+            return default
+        value = self.fields[key]
+        if value is None and default is None:
+            return None
+        return read(self._path(key), value)
+
+    def object(self, key: str) -> JsonObject:
+        """Field ``key`` as a JsonObject; an absent field is an empty object."""
+        return JsonObject(self._path(key), self.fields.get(key, {}))
+
+    def _path(self, key: str) -> str:
+        return f"{self.where}.{key}" if self.where else key
+
+
 @dataclass(frozen=True)
 class ColumnSchema:
     name: str
@@ -39,6 +163,8 @@ class ColumnSchema:
             raise ConfigError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == "categorical" and not self.levels:
             raise ConfigError(f"column {self.name!r}: categorical needs levels")
+        if len(set(self.levels)) != len(self.levels):
+            raise ConfigError(f"column {self.name!r}: duplicate levels {list(self.levels)}")
 
 
 @dataclass(frozen=True)
@@ -57,28 +183,25 @@ class Schema:
 
 def load_schema(path) -> Schema:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    columns = []
-    for name, c in raw.get("columns", {}).items():
-        columns.append(
-            ColumnSchema(
-                name=name,
-                kind=c.get("type", ""),
-                levels=tuple(c.get("levels", ())),
-                units=c.get("units", ""),
-            )
+        raw = JsonObject("schema", json.load(fh))
+    columns = tuple(
+        ColumnSchema(
+            name=name,
+            kind=c.get("type", text),
+            levels=c.get("levels", names, ()),
+            units=c.get("units", text, ""),
         )
-    pairs = {
-        k: (v[0], v[1]) for k, v in raw.get("reference_pairs", {}).items()
-    }
-    stray = set(raw.get("recode", {})) - {c.name for c in columns if c.kind == "categorical"}
+        for name, c in raw.get("columns", mapped(JsonObject), {}).items()
+    )
+    recode = raw.get("recode", mapped(mapped(text)), {})
+    stray = set(recode) - {c.name for c in columns if c.kind == "categorical"}
     if stray:
         raise ConfigError(f"recode maps for {sorted(stray)}: not declared categorical columns")
     return Schema(
-        columns=tuple(columns),
-        recode=raw.get("recode", {}),
-        reference_levels=raw.get("reference_levels", {}),
-        reference_pairs=pairs,
+        columns=columns,
+        recode=recode,
+        reference_levels=raw.get("reference_levels", mapped(text), {}),
+        reference_pairs=raw.get("reference_pairs", mapped(level_pair), {}),
     )
 
 
@@ -171,13 +294,13 @@ def load_network(
     return g, attribute_table(values, schema), ids
 
 
-def write_edge_csv(path, g: Graph, ids: list[str] | None = None) -> None:
-    names = ids if ids is not None else [str(k) for k in range(g.n)]
+def write_edge_csv(path, g: Graph) -> None:
+    """Edges with node indices as ids, as ``write_attribute_csv`` writes without ids."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target"])
         for i, j in sorted(g.edges):
-            writer.writerow([names[i], names[j]])
+            writer.writerow([str(i), str(j)])
 
 
 def write_attribute_csv(path, attrs: AttributeTable, ids: list[str] | None = None) -> None:

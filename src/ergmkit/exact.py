@@ -17,6 +17,8 @@ from .graph import AttributeTable, Graph
 from .model import CompiledModel, ModelSpec, dyad_index, dyad_list
 
 MAX_EXACT_NODES = 6
+_MLE_TOL = 1e-10
+_MLE_MAX_ITER = 200
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -66,9 +68,6 @@ class ExactDistribution:
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_probs)
 
-    def probability(self, g: Graph) -> float:
-        return float(np.exp(self.log_probs[graph_bitmask(g)]))
-
 
 def _log_normalize(unnorm: np.ndarray) -> tuple[np.ndarray, float]:
     m = float(np.max(unnorm))
@@ -104,8 +103,6 @@ def exact_mle(
     g_obs: Graph,
     attrs: AttributeTable,
     model: ModelSpec,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Newton maximization of the exact log likelihood.
 
@@ -126,14 +123,14 @@ def exact_mle(
             f"observed statistic at its extreme value for {bad}; MLE diverges"
         )
     theta = np.zeros(cm.p)
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         log_probs, _ = _log_normalize(G @ theta)
         probs = np.exp(log_probs)
         mean = probs @ G
         centered = G - mean
         cov = (centered * probs[:, None]).T @ centered
         grad = obs - mean
-        if float(np.linalg.norm(grad)) <= tol:
+        if float(np.linalg.norm(grad)) <= _MLE_TOL:
             return theta
         try:
             step = np.linalg.solve(cov, grad)
@@ -151,4 +148,4 @@ def exact_mle(
         theta = theta + scale * step
         if float(np.linalg.norm(theta)) > 60:
             raise HullBoundary("Newton iterates diverging; observed statistics on hull boundary")
-    raise NonConvergence(f"exact MLE did not converge in {max_iter} iterations")
+    raise NonConvergence(f"exact MLE did not converge in {_MLE_MAX_ITER} iterations")

@@ -30,6 +30,7 @@ from .model import CompiledModel, Edges, ModelSpec, TermSpec, term_to_dict
 from .sampler import SamplerConfig, simulate, simulation_counters, write_stats_trace
 
 Z_95 = 1.959964
+_MAX_OUTER = 20  # MC-MLE rounds before NonConvergence
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,6 @@ def or_table(
     theta: np.ndarray,
     covariance: np.ndarray,
     names: Sequence[str],
-    z: float = Z_95,
 ) -> tuple[OrRow, ...]:
     """Per-term odds ratios, Wald 95% intervals, and two-sided p-values."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -144,8 +144,8 @@ def or_table(
                 estimate=est,
                 se=se,
                 odds_ratio=_exp(est),
-                ci_low=_exp(est - z * se),
-                ci_high=_exp(est + z * se),
+                ci_low=_exp(est - Z_95 * se),
+                ci_high=_exp(est + Z_95 * se),
                 p_value=p,
                 stars=_stars(p),
             )
@@ -205,7 +205,6 @@ def fit_mcmle(
     model: ModelSpec,
     cfg: SamplerConfig,
     theta0: Optional[np.ndarray] = None,
-    max_outer: int = 20,
 ) -> FitResult:
     """Monte Carlo MLE by repeated importance-sampled maximization.
 
@@ -230,13 +229,13 @@ def fit_mcmle(
         theta_t = np.asarray(theta0, dtype=np.float64).copy()
     # one config per round and one for the confirmation sample, each seeded
     # from a child of cfg.seed's SeedSequence
-    streams = np.random.SeedSequence(cfg.seed).spawn(max_outer + 1)
+    streams = np.random.SeedSequence(cfg.seed).spawn(_MAX_OUTER + 1)
     cfgs = [replace(cfg, seed=int(s.generate_state(1, np.uint64)[0])) for s in streams]
     grad_tol = 1e-3 * p
     ess_floor = max(5.0, cfg.sample_count / 100.0)
     theta_hat = None
     outer_used = 0
-    for outer in range(max_outer):
+    for outer in range(_MAX_OUTER):
         outer_used = outer + 1
         _, S = simulate(g, theta_t, model, attrs, cfgs[outer], keep_graphs=False)
         _check_degeneracy(obs, S, cm.stat_names)
@@ -280,11 +279,11 @@ def fit_mcmle(
             break
     if theta_hat is None:
         raise NonConvergence(
-            f"MC-MLE did not converge in {max_outer} rounds (last gradient norm {gnorm:.3g})"
+            f"MC-MLE did not converge in {_MAX_OUTER} rounds (last gradient norm {gnorm:.3g})"
         )
     # confirmation sample at the solution: weights are uniform, so the
     # weighted statistic covariance is the plain sample covariance
-    _, S = simulate(g, theta_hat, model, attrs, cfgs[max_outer], keep_graphs=False)
+    _, S = simulate(g, theta_hat, model, attrs, cfgs[_MAX_OUTER], keep_graphs=False)
     _check_degeneracy(obs, S, cm.stat_names)
     mean = S.mean(axis=0)
     centered = S - mean

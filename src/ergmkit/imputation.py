@@ -31,6 +31,8 @@ from .graph import (
 )
 from .logistic import fit_logistic, sigmoid
 
+_MAX_ROUNDS = 10  # missForest rounds
+
 
 @dataclass(frozen=True)
 class MissingnessMask:
@@ -193,7 +195,6 @@ def impute_missforest(
     covariates: list[str] | None = None,
     forest: ForestConfig = ForestConfig(),
     seed: int = 0,
-    max_iter: int = 10,
 ) -> ImputationResult:
     """Iterative per-column forest imputation of the target columns.
 
@@ -201,7 +202,7 @@ def impute_missforest(
     first round where the change criterion rises for every variable type
     present (proportion of changed cells for categorical targets,
     normalized squared change for continuous ones) and returns the values
-    from the round before; caps at ``max_iter`` rounds otherwise.
+    from the round before; caps at 10 rounds otherwise.
     """
     if not targets:
         raise ConfigError("no target columns given")
@@ -237,12 +238,12 @@ def impute_missforest(
     cat_targets = [t for t in order if work.kind[t] == "cat" and masks[t].any()]
     cont_targets = [t for t in order if work.kind[t] == "cont" and masks[t].any()]
 
-    streams = np.random.SeedSequence(seed).spawn(max_iter * len(order))
+    streams = np.random.SeedSequence(seed).spawn(_MAX_ROUNDS * len(order))
     prev = work.snapshot()
     prev_oob: dict[str, float] = {}
     last_diffs: dict[str, float] = {}
     iterations = 0
-    for it in range(max_iter):
+    for it in range(_MAX_ROUNDS):
         oob: dict[str, float] = {}
         for c_idx, t in enumerate(order):
             m = masks[t]

@@ -7,7 +7,7 @@ row each). The pseudo-likelihood fitter passes the grouped dyad design
 dyad count as the trials and its tie count as y); the propensity model
 passes one row per node. Grouping changes no estimate:
 the log-likelihood, score and information are the per-trial sums.
-Convergence is on the score: max |X'(y - trials * mu)| <= tol. The
+Convergence is on the score: max |X'(y - trials * mu)| <= 1e-8. The
 reported covariance is the inverse observed information X' W X at the
 optimum, W = trials * mu * (1 - mu).
 """
@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ConfigError, NonConvergence, RankDeficient, Separation
 
 _ETA_CLIP = 35.0  # sigmoid saturates to machine precision well before this
+_TOL = 1e-8
+_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,6 @@ def fit_logistic(
     y: np.ndarray,
     names: list[str] | None = None,
     trials: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
 ) -> LogisticFit:
     """Fit y successes out of ``trials`` (default 1 per row) on the rows of X."""
     X = np.asarray(X, dtype=np.float64)
@@ -116,7 +116,7 @@ def fit_logistic(
     beta = np.zeros(X.shape[1])
     score_norm = np.inf
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         eta = np.clip(X @ beta, -_ETA_CLIP, _ETA_CLIP)
         mu = sigmoid(eta)
         score = X.T @ (y - trials * mu)
@@ -139,5 +139,5 @@ def fit_logistic(
             raise Separation(f"estimates diverging; term {worst!r} separates the data")
         # Newton is quadratic, so one extra step past the criterion leaves
         # the score at machine precision before reporting
-        converged = score_norm <= tol
-    raise NonConvergence(f"IRLS did not converge in {max_iter} iterations")
+        converged = score_norm <= _TOL
+    raise NonConvergence(f"IRLS did not converge in {_MAX_ITER} iterations")

@@ -30,7 +30,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataError, MissingAttribute, SelfLoop, TooFewNodes
+from .dataio import JsonObject, flag, level_pair, number, read_record, record_dict, text
+from .errors import ConfigError, DataError, MissingAttribute, SelfLoop, TooFewNodes
 from .graph import AttributeTable, CategoricalColumn, Graph
 
 
@@ -85,7 +86,7 @@ class GwDegree:
 
     def __post_init__(self):
         if not self.decay > 0:
-            raise ValueError("gwdegree decay must be > 0")
+            raise ConfigError("gwdegree decay must be > 0")
 
 
 TermSpec = Union[Edges, NodeMatch, NodeFactor, NodeMix, GwDegree]
@@ -100,9 +101,9 @@ class ModelSpec:
     def __init__(self, terms: Sequence[TermSpec]):
         terms = tuple(terms)
         if sum(isinstance(t, Edges) for t in terms) > 1:
-            raise ValueError("Edges may appear at most once")
+            raise ConfigError("Edges may appear at most once")
         if sum(isinstance(t, GwDegree) for t in terms) > 1:
-            raise ValueError("GwDegree may appear at most once")
+            raise ConfigError("GwDegree may appear at most once")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -111,34 +112,28 @@ class ModelSpec:
         return not any(isinstance(t, GwDegree) for t in self.terms)
 
 
+# JSON name of each term kind: its class and the reader of each of its
+# fields. An absent field takes the class's default, if it has one.
+TERM_KINDS = {
+    "edges": (Edges, {}),
+    "nodematch": (NodeMatch, {"attr": text, "differential": flag}),
+    "nodefactor": (NodeFactor, {"attr": text, "reference": text}),
+    "nodemix": (NodeMix, {"attr": text, "reference": level_pair}),
+    "gwdegree": (GwDegree, {"decay": number}),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in TERM_KINDS.items()}
+
+
 def term_to_dict(term: TermSpec) -> dict:
-    if isinstance(term, Edges):
-        return {"term": "edges"}
-    if isinstance(term, NodeMatch):
-        return {"term": "nodematch", "attr": term.attr, "differential": term.differential}
-    if isinstance(term, NodeFactor):
-        return {"term": "nodefactor", "attr": term.attr, "reference": term.reference}
-    if isinstance(term, NodeMix):
-        return {"term": "nodemix", "attr": term.attr, "reference": list(term.reference)}
-    if isinstance(term, GwDegree):
-        return {"term": "gwdegree", "decay": term.decay}
-    raise TypeError(f"unknown term {term!r}")
+    return {"term": _KIND_OF[type(term)], **record_dict(term)}
 
 
-def term_from_dict(d: dict) -> TermSpec:
-    kind = d.get("term")
-    if kind == "edges":
-        return Edges()
-    if kind == "nodematch":
-        return NodeMatch(d["attr"], bool(d.get("differential", True)))
-    if kind == "nodefactor":
-        return NodeFactor(d["attr"], d["reference"])
-    if kind == "nodemix":
-        ref = d["reference"]
-        return NodeMix(d["attr"], (ref[0], ref[1]))
-    if kind == "gwdegree":
-        return GwDegree(float(d.get("decay", 0.5)))
-    raise ValueError(f"unknown term kind {kind!r}")
+def read_term(where: str, value) -> TermSpec:
+    """The term a JSON object at ``where`` describes, as ``term_to_dict`` writes it."""
+    kind = JsonObject(where, value).get("term", text)
+    if kind not in TERM_KINDS:
+        raise ConfigError(f"config {where}: unknown term kind {kind!r}")
+    return read_record(where, value, *TERM_KINDS[kind])
 
 
 def _gw_weights(decay: float, max_degree: int) -> np.ndarray:
@@ -239,7 +234,7 @@ class CompiledModel:
         # gwdegree weight difference table: wdiff[k] = w(k+1) - w(k)
         self._wdiff = self._w[1:] - self._w[:-1]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate statistic names in model: {names}")
+            raise ConfigError(f"duplicate statistic names in model: {names}")
         self.p = len(names)
         self.stat_names = tuple(names)
         self.table = np.hstack(parts)

@@ -19,7 +19,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import Schema, load_network, load_schema
+from .dataio import (
+    JsonObject,
+    Schema,
+    checked,
+    count,
+    each,
+    flag,
+    load_network,
+    load_schema,
+    names,
+    number,
+    rate,
+    text,
+)
 from .errors import ConfigError, ErgmkitError
 from .fit import (
     FitResult,
@@ -48,7 +61,7 @@ from .model import (
     NodeMatch,
     NodeMix,
     TermSpec,
-    term_from_dict,
+    read_term,
     term_to_dict,
 )
 from .netstats import network_summary
@@ -119,7 +132,9 @@ class RunConfig:
     imputation_covariates: tuple[str, ...] | None = None
     forest: ForestConfig = field(default_factory=ForestConfig)
     fit_method: str = "mple"
-    sampler: SamplerConfig = field(default_factory=lambda: SamplerConfig(sample_count=512))
+    burn_in: int | None = None
+    thin: int | None = None
+    samples: int = 512
     gof_samples: int = 200
     gof_trace: bool = False
     screen_alpha: float = 0.2
@@ -139,91 +154,48 @@ class RunConfig:
             raise ConfigError("gof_samples must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        self.sampler  # checks the chain controls
+
+    @property
+    def sampler(self) -> SamplerConfig:
+        """The fit's chain controls, seeded with the run seed."""
+        return SamplerConfig(self.burn_in, self.thin, self.samples, self.seed)
 
 
 def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
-    def path(p):
-        return str(base / p) if base is not None and not Path(p).is_absolute() else str(p)
+    def path(p: str) -> str:
+        return str(base / p) if base is not None and not Path(p).is_absolute() else p
 
-    def setting(where: str, convert, value, nullable: bool = False):
-        """``convert(value)`` or a nullable None; a malformed value is a ConfigError naming it."""
-        try:
-            return None if value is None and nullable else convert(value)
-        except KeyError as exc:
-            raise ConfigError(f"config {where}: missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config {where}: {exc}") from None
-
-    def json_type(where: str, kind: type, value):
-        """``value`` if it is of JSON type ``kind``; else a ConfigError naming it."""
-        if not isinstance(value, kind):
-            what = "an object" if kind is dict else "a list"
-            raise ConfigError(f"config {where}: expected {what}, got {value!r}")
-        return value
-
-    def count(value) -> int:
-        if type(value) not in (int, float) or value % 1 != 0:  # bool, text, fraction, inf, nan
-            raise ValueError(f"expected a whole number, got {value!r}")
-        return int(value)
-
-    def flag(value) -> bool:
-        if type(value) is not bool:
-            raise ValueError(f"expected true or false, got {value!r}")
-        return value
-
-    def names(where: str, value) -> tuple[str, ...]:
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"config {where}: expected a list of strings, got {value!r}")
-        return tuple(value)
-
-    json_type("top level", dict, d)
-    imp = json_type("imputation", dict, d.get("imputation", {}))
-    fit = json_type("fit", dict, d.get("fit", {}))
-    seed = setting("seed", count, d.get("seed", 0))
-    try:
-        return RunConfig(
-            edges=path(d["edges"]),
-            attributes=path(d["attributes"]),
-            schema=path(d["schema"]),
-            scope=d.get("scope", "full"),
-            missing_policy=d.get("missing_policy", "complete_case"),
-            family=d.get("family", "match"),
-            attributes_used=names("attributes_used", d.get("attributes_used", [])),
-            final_candidates=tuple(
-                setting(f"final_candidates[{k}]", term_from_dict, c, nullable=True)
-                for k, c in enumerate(
-                    json_type("final_candidates", list, d.get("final_candidates", []))
-                )
-            ),
-            gwdegree=setting(
-                "gwdegree", lambda decay: GwDegree(float(decay)), d.get("gwdegree"), nullable=True
-            ),
-            imputation_targets=names("imputation.targets", imp.get("targets", [])),
-            imputation_covariates=(
-                names("imputation.covariates", imp["covariates"])
-                if "covariates" in imp
-                else None
-            ),
-            forest=ForestConfig(
-                trees=setting("imputation.trees", count, imp.get("trees", 100)),
-                mtry=setting("imputation.mtry", count, imp.get("mtry"), nullable=True),
-                min_leaf=setting("imputation.min_leaf", count, imp.get("min_leaf", 1)),
-            ),
-            fit_method=fit.get("method", "mple"),
-            sampler=SamplerConfig(
-                burn_in=setting("fit.burn_in", count, fit.get("burn_in"), nullable=True),
-                thin=setting("fit.thin", count, fit.get("thin"), nullable=True),
-                sample_count=setting("fit.samples", count, fit.get("samples", 512)),
-                seed=seed,
-            ),
-            gof_samples=setting("fit.gof_samples", count, fit.get("gof_samples", 200)),
-            gof_trace=setting("fit.trace", flag, fit.get("trace", False)),
-            screen_alpha=setting("fit.screen_alpha", float, fit.get("screen_alpha", 0.2)),
-            seed=seed,
-            out=path(d.get("out", "out")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config missing required key {exc.args[0]!r}") from None
+    top = JsonObject("", d)
+    imp, fit = top.object("imputation"), top.object("fit")
+    decay = top.get("gwdegree", number, None)
+    return RunConfig(
+        edges=path(top.get("edges", text)),
+        attributes=path(top.get("attributes", text)),
+        schema=path(top.get("schema", text)),
+        scope=top.get("scope", text, "full"),
+        missing_policy=top.get("missing_policy", text, "complete_case"),
+        family=top.get("family", text, "match"),
+        attributes_used=top.get("attributes_used", names, ()),
+        final_candidates=top.get("final_candidates", each(read_term), ()),
+        gwdegree=None if decay is None else checked("gwdegree", GwDegree, decay),
+        imputation_targets=imp.get("targets", names, ()),
+        imputation_covariates=imp.get("covariates", names, None),
+        forest=ForestConfig(
+            trees=imp.get("trees", count, 100),
+            mtry=imp.get("mtry", count, None),
+            min_leaf=imp.get("min_leaf", count, 1),
+        ),
+        fit_method=fit.get("method", text, "mple"),
+        burn_in=fit.get("burn_in", count, None),
+        thin=fit.get("thin", count, None),
+        samples=fit.get("samples", count, 512),
+        gof_samples=fit.get("gof_samples", count, 200),
+        gof_trace=fit.get("trace", flag, False),
+        screen_alpha=fit.get("screen_alpha", rate, 0.2),
+        seed=top.get("seed", count, 0),
+        out=path(top.get("out", text, "out")),
+    )
 
 
 def load_config(path) -> RunConfig:
@@ -439,8 +411,8 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
         if with_gof:
             stage = "gof"
             gof_cfg = SamplerConfig(
-                burn_in=config.sampler.burn_in,
-                thin=config.sampler.thin,
+                burn_in=config.burn_in,
+                thin=config.thin,
                 sample_count=config.gof_samples,
                 seed=config.seed + 1,
             )

@@ -15,6 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import (
+    JsonObject,
+    checked,
+    count,
+    each,
+    mapped,
+    names,
+    number,
+    read_record,
+    record_dict,
+    text,
+)
 from .errors import ConfigError
 from .graph import (
     AttributeTable,
@@ -25,7 +37,7 @@ from .graph import (
 )
 from .imputation import MissingnessMask
 from .logistic import sigmoid
-from .model import ModelSpec, term_from_dict, term_to_dict
+from .model import ModelSpec, read_term, term_to_dict
 from .sampler import SamplerConfig, simulate
 
 
@@ -37,6 +49,8 @@ class CategoricalSpec:
     def __post_init__(self):
         if len(self.levels) != len(self.probs):
             raise ConfigError("levels and probs must align")
+        if len(set(self.levels)) != len(self.levels):
+            raise ConfigError(f"duplicate levels {list(self.levels)}")
         if abs(sum(self.probs) - 1.0) > 1e-9 or any(p < 0 for p in self.probs):
             raise ConfigError("level probabilities must be nonnegative and sum to 1")
 
@@ -81,6 +95,12 @@ class SynthSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        for m in self.missing:
+            for name in (m.column, m.covariate if m.mechanism == "mar" else None):
+                if name is not None and name not in self.columns:
+                    raise ConfigError(f"missingness names {name!r}, which is not a declared column")
 
 
 def _calibrate_intercept(z: np.ndarray, slope: float, rate: float) -> float:
@@ -151,62 +171,47 @@ def generate(
     return g, observed, MissingnessMask.of(observed), theta
 
 
+# the type field of a column spec: its class and the reader of each field
+_COLUMN_TYPES = {
+    "categorical": (CategoricalSpec, {"levels": names, "probs": each(number)}),
+    "continuous": (ContinuousSpec, {"mean": number, "sd": number}),
+}
+_TYPE_OF = {cls: kind for kind, (cls, _) in _COLUMN_TYPES.items()}
+
+
+def _column_spec(where: str, value) -> CategoricalSpec | ContinuousSpec:
+    kind = JsonObject(where, value).get("type", text)
+    if kind not in _COLUMN_TYPES:
+        raise ConfigError(f"config {where}: unknown type {kind!r}")
+    return read_record(where, value, *_COLUMN_TYPES[kind])
+
+
+def _missing_spec(where: str, value) -> MissingSpec:
+    readers = {
+        "column": text, "rate": number, "mechanism": text, "covariate": text, "slope": number
+    }
+    return read_record(where, value, MissingSpec, readers)
+
+
 def spec_from_dict(d: dict) -> SynthSpec:
-    columns = {}
-    for name, c in d.get("columns", {}).items():
-        if c.get("type") == "categorical":
-            columns[name] = CategoricalSpec(tuple(c["levels"]), tuple(c["probs"]))
-        elif c.get("type") == "continuous":
-            columns[name] = ContinuousSpec(float(c["mean"]), float(c["sd"]))
-        else:
-            raise ConfigError(f"column {name!r}: unknown type {c.get('type')!r}")
-    missing = tuple(
-        MissingSpec(
-            column=m["column"],
-            rate=float(m["rate"]),
-            mechanism=m.get("mechanism", "mcar"),
-            covariate=m.get("covariate"),
-            slope=float(m.get("slope", 1.0)),
-        )
-        for m in d.get("missing", [])
-    )
+    top = JsonObject("", d)
     return SynthSpec(
-        n=int(d["n"]),
-        columns=columns,
-        model=ModelSpec([term_from_dict(t) for t in d["model"]]),
-        theta=tuple(float(v) for v in d["theta"]),
-        missing=missing,
-        seed=int(d.get("seed", 0)),
-        burn_in=d.get("burn_in"),
+        n=top.get("n", count),
+        columns=top.get("columns", mapped(_column_spec), {}),
+        model=checked("model", ModelSpec, top.get("model", each(read_term))),
+        theta=top.get("theta", each(number)),
+        missing=top.get("missing", each(_missing_spec), ()),
+        seed=top.get("seed", count, 0),
+        burn_in=top.get("burn_in", count, None),
     )
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:
-    columns = {}
-    for name, c in spec.columns.items():
-        if isinstance(c, CategoricalSpec):
-            columns[name] = {
-                "type": "categorical",
-                "levels": list(c.levels),
-                "probs": list(c.probs),
-            }
-        else:
-            columns[name] = {"type": "continuous", "mean": c.mean, "sd": c.sd}
     return {
-        "n": spec.n,
-        "columns": columns,
+        **record_dict(spec),
+        "columns": {
+            name: {"type": _TYPE_OF[type(c)], **record_dict(c)} for name, c in spec.columns.items()
+        },
         "model": [term_to_dict(t) for t in spec.model.terms],
-        "theta": list(spec.theta),
-        "missing": [
-            {
-                "column": m.column,
-                "rate": m.rate,
-                "mechanism": m.mechanism,
-                "covariate": m.covariate,
-                "slope": m.slope,
-            }
-            for m in spec.missing
-        ],
-        "seed": spec.seed,
-        "burn_in": spec.burn_in,
+        "missing": [record_dict(m) for m in spec.missing],
     }

@@ -44,7 +44,8 @@ def _fixture_model() -> ModelSpec:
     )
 
 
-def run_verification(verbose: bool = True) -> bool:
+def run_verification() -> bool:
+    """Run every check, print one PASS/FAIL line each and return whether all passed."""
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -130,11 +131,9 @@ def run_verification(verbose: bool = True) -> bool:
         f"OR {rows[0].odds_ratio:.4f} CI ({rows[0].ci_low:.4f}, {rows[0].ci_high:.4f})",
     )
 
-    all_ok = all(ok for _, ok, _ in checks)
-    if verbose:
-        for name, ok, detail in checks:
-            mark = "PASS" if ok else "FAIL"
-            suffix = f" ({detail})" if detail else ""
-            print(f"[{mark}] {name}{suffix}")
-        print(f"{sum(ok for _, ok, _ in checks)}/{len(checks)} checks passed")
-    return all_ok
+    for name, ok, detail in checks:
+        mark = "PASS" if ok else "FAIL"
+        suffix = f" ({detail})" if detail else ""
+        print(f"[{mark}] {name}{suffix}")
+    print(f"{sum(ok for _, ok, _ in checks)}/{len(checks)} checks passed")
+    return all(ok for _, ok, _ in checks)

@@ -154,7 +154,7 @@ class TestExitCodes:
         [
             pytest.param({"gwdegree": 0}, "gwdegree: gwdegree decay", id="gwdegree-zero"),
             pytest.param({"gwdegree": -1}, "gwdegree: gwdegree decay", id="gwdegree-negative"),
-            pytest.param({"gwdegree": "abc"}, "gwdegree: could not convert", id="gwdegree-text"),
+            pytest.param({"gwdegree": "abc"}, "config gwdegree", id="gwdegree-text"),
             pytest.param(
                 {"family": "final", "final_candidates": [{"term": "nodecov", "attr": "age"}]},
                 "final_candidates[0]: unknown term kind 'nodecov'",
@@ -230,12 +230,99 @@ class TestExitCodes:
             pytest.param(
                 {"fit": {"gof_samples": 20.5}}, "fit.gof_samples", id="gof-samples-fraction"
             ),
+            pytest.param(
+                {"fit": {"screen_alpha": True}}, "fit.screen_alpha", id="screen-alpha-boolean"
+            ),
+            pytest.param(
+                {"fit": {"screen_alpha": "0.5"}}, "fit.screen_alpha", id="screen-alpha-text"
+            ),
+            pytest.param(
+                {"fit": {"screen_alpha": -3}}, "fit.screen_alpha", id="screen-alpha-negative"
+            ),
+            pytest.param(
+                {"fit": {"screen_alpha": float("nan")}}, "fit.screen_alpha", id="screen-alpha-nan"
+            ),
+            pytest.param(
+                {"family": "final", "final_candidates": [None]},
+                "final_candidates[0]",
+                id="candidate-null",
+            ),
+            pytest.param(
+                {
+                    "family": "final",
+                    "final_candidates": [
+                        {"term": "nodematch", "attr": "sex", "differential": "false"}
+                    ],
+                },
+                "final_candidates[0].differential",
+                id="differential-text",
+            ),
+            pytest.param(
+                {"family": "final", "final_candidates": [{"term": "nodematch", "attr": 3}]},
+                "final_candidates[0].attr",
+                id="attr-number",
+            ),
+            pytest.param(
+                {
+                    "family": "final",
+                    "final_candidates": [{"term": "nodemix", "attr": "sex", "reference": "ab"}],
+                },
+                "final_candidates[0].reference",
+                id="reference-text",
+            ),
+            pytest.param(
+                {"family": "final", "final_candidates": [{"term": "gwdegree", "decay": "0.5"}]},
+                "final_candidates[0].decay",
+                id="decay-text",
+            ),
+            pytest.param(
+                {"attributes_used": ["sex", "sex"]},
+                "duplicate statistic names",
+                id="duplicate-term",
+            ),
         ],
     )
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, overrides, named):
         make_dataset(tmp_path, missing_rate=0.0)
         cfg = make_config(tmp_path, **overrides)
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            pytest.param(
+                {"columns": {"sex": {"type": "categorical", "levels": "mf"}}},
+                "config schema.columns.sex.levels: expected a list of strings",
+                id="levels-string",
+            ),
+            pytest.param(
+                {"columns": {"sex": {"type": "categorical", "levels": ["male", "male"]}}},
+                "column 'sex': duplicate levels",
+                id="duplicate-levels",
+            ),
+            pytest.param(
+                {"recode": {"living": [["own place", "own"]]}},
+                "config schema.recode.living: expected an object",
+                id="recode-list",
+            ),
+            pytest.param(
+                {"columns": []}, "config schema.columns: expected an object", id="columns-list"
+            ),
+            pytest.param(
+                {"reference_pairs": {"living": ["homeless"]}},
+                "config schema.reference_pairs.living: expected a list of two strings",
+                id="one-level-pair",
+            ),
+        ],
+    )
+    def test_malformed_schema_is_config_error(self, tmp_path, capsys, changes, named):
+        make_dataset(tmp_path, missing_rate=0.0)
+        schema = json.loads((tmp_path / "schema.json").read_text())
+        schema.update(changes)
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        code, _, err = run_cli(capsys, "run", "--config", str(make_config(tmp_path)))
         assert code == 2
         assert named in err
 
@@ -318,6 +405,63 @@ class TestExitCodes:
         )
         assert code == 2
         assert "theta has 4 entries" in err
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            pytest.param({"n": None}, "missing key 'n'", id="no-n"),
+            pytest.param({"n": "abc"}, "config n: expected a whole number", id="n-text"),
+            pytest.param(
+                {"model": [{"term": "edges"}, {"term": "gwdegree", "decay": 0}]},
+                "config model[1]: gwdegree decay must be > 0",
+                id="gwdegree-zero",
+            ),
+            pytest.param(
+                {"burn_in": "x"}, "config burn_in: expected a whole number", id="burn-in-text"
+            ),
+            pytest.param(
+                {"model": [{"term": "edges"}, {"term": "nodematch"}]},
+                "config model[1]: missing key 'attr'",
+                id="nodematch-without-attr",
+            ),
+            pytest.param(
+                {"model": [{"term": "edges"}, {"term": "edges"}]},
+                "config model: Edges may appear at most once",
+                id="two-edges",
+            ),
+            pytest.param(
+                {"columns": {"sex": {"type": "categorical", "levels": ["m"] * 2, "probs": [1, 0]}}},
+                "config columns.sex: duplicate levels",
+                id="duplicate-levels",
+            ),
+            pytest.param({"seed": -1}, "seed must be >= 0", id="negative-seed"),
+            pytest.param(
+                {"missing": [{"column": "nope", "rate": 0.1}]},
+                "missingness names 'nope'",
+                id="missing-undeclared-column",
+            ),
+            pytest.param(
+                {"missing": [{"column": "sex", "rate": 0.1, "mechanism": "mar", "covariate": "x"}]},
+                "missingness names 'x'",
+                id="mar-undeclared-covariate",
+            ),
+        ],
+    )
+    def test_malformed_synth_spec_is_config_error(self, tmp_path, capsys, changes, named):
+        spec = {
+            "n": 20,
+            "columns": {"sex": {"type": "categorical", "levels": ["m", "f"], "probs": [0.5, 0.5]}},
+            "model": [{"term": "edges"}],
+            "theta": [-1.5],
+        }
+        spec.update(changes)
+        p = tmp_path / "synth.json"
+        p.write_text(json.dumps({k: v for k, v in spec.items() if v is not None}))
+        code, _, err = run_cli(
+            capsys, "synth", "--config", str(p), "--out", str(tmp_path / "s")
+        )
+        assert code == 2
+        assert named in err
 
     def test_unmapped_label_fails_at_ingest(self, tmp_path, capsys):
         make_raw_label_dataset(tmp_path, extra_label="in a tent")

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmkit.errors import DataError, MissingAttribute, SelfLoop, TooFewNodes, UnknownLevel
+from ergmkit.errors import (
+    ConfigError,
+    DataError,
+    MissingAttribute,
+    SelfLoop,
+    TooFewNodes,
+    UnknownLevel,
+)
 from ergmkit.graph import AttributeTable, Graph, categorical
 from ergmkit.model import (
     CompiledModel,
@@ -20,8 +27,8 @@ from ergmkit.model import (
     change_statistics,
     dyad_index,
     dyad_list,
+    read_term,
     statistics,
-    term_from_dict,
     term_to_dict,
 )
 
@@ -125,7 +132,7 @@ class TestStatistics:
             )
 
     def test_duplicate_edges_term_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ModelSpec([Edges(), Edges()])
 
     @pytest.mark.parametrize("n", [3, 7])
@@ -142,7 +149,7 @@ class TestStatistics:
     def test_duplicate_stat_names_rejected(self):
         attrs = sex_attrs(["male", "female"])
         model = ModelSpec([NodeMatch("sex"), NodeMatch("sex")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CompiledModel(model, attrs, 2)
 
 
@@ -351,12 +358,12 @@ class TestSerialization:
         ],
     )
     def test_round_trip(self, term):
-        assert term_from_dict(term_to_dict(term)) == term
+        assert read_term("term", term_to_dict(term)) == term
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            term_from_dict({"term": "triangles"})
+        with pytest.raises(ConfigError):
+            read_term("term", {"term": "triangles"})
 
     def test_gwdegree_positive_decay(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             GwDegree(0.0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,13 @@ class TestRunConfig:
     def test_missing_key_is_config_error(self):
         with pytest.raises(ConfigError):
             config_from_dict({"edges": "e.csv"})
+
+    def test_sampler_seed_is_the_run_seed(self):
+        config = RunConfig(edges="e", attributes="a", schema="s", seed=5)
+        assert config.sampler.seed == 5
+        assert replace(config, seed=7).sampler.seed == 7
+        parsed = config_from_dict({"edges": "e", "attributes": "a", "schema": "s", "seed": 5})
+        assert parsed == config
 
 
 class TestRun:
