@@ -20,6 +20,7 @@ from .model import (
     NodeMatch,
     NodeMix,
     change_statistics,
+    dyad_endpoints,
     statistics,
 )
 from .netstats import NetworkSummary, network_summary
@@ -52,6 +53,7 @@ __all__ = [
     "change_statistics",
     "connected_components",
     "continuous",
+    "dyad_endpoints",
     "fit_mcmle",
     "fit_mple",
     "gof",

@@ -11,7 +11,8 @@ recode maps, so every loaded categorical column is on its declared levels.
 The run config, the schema, the synth spec and the model terms are read
 field by field with the readers below. A reader takes the field's dotted
 path (``where``) and its decoded JSON value, and returns the value typed
-or raises a ConfigError naming the field.
+or raises a ConfigError naming the field. A key that no reader reads is
+an error too, so a misspelt setting cannot silently take its default.
 """
 
 from __future__ import annotations
@@ -108,12 +109,14 @@ def checked(where: str, make, *args, **kwargs):
         raise ConfigError(f"config {where}: {exc}") from None
 
 
-def read_record(where: str, value, cls, readers: dict):
-    """Dataclass ``cls`` from the JSON object at ``where``: each field in
-    ``readers`` read by its reader, an absent one taking the class's default."""
-    obj = JsonObject(where, value)
+def read_record(obj: JsonObject, cls, readers: dict):
+    """Dataclass ``cls`` from a JSON object: each field in ``readers`` read
+    by its reader, an absent one taking the class's default, and no other
+    key than those and the ones already read."""
+    obj.close(*readers)
     defaults = {f.name: f.default for f in fields(cls)}
-    return checked(where, cls, **{k: obj.get(k, read, defaults[k]) for k, read in readers.items()})
+    values = {k: obj.get(k, read, defaults[k]) for k, read in readers.items()}
+    return checked(obj.where, cls, **values)
 
 
 def record_dict(record) -> dict:
@@ -123,17 +126,20 @@ def record_dict(record) -> dict:
 
 
 class JsonObject:
-    """A JSON object at path ``where`` ("" at the top level), read field by field."""
+    """A JSON object at path ``where`` ("" at the top level), read field by
+    field; ``close`` rejects the keys no field read asked for."""
 
     def __init__(self, where: str, value):
         self.where = where
         if not isinstance(value, dict):
             raise _wrong(where or "top level", "an object", value)
         self.fields = value
+        self.read: set[str] = set()
 
     def get(self, key: str, read, default=MISSING):
         """``read`` of field ``key``; an absent field is ``default`` (required
         without one), and null is allowed only where the default is None."""
+        self.read.add(key)
         if key not in self.fields:
             if default is MISSING:
                 raise ConfigError(f"config {self.where or 'top level'}: missing key {key!r}")
@@ -145,7 +151,14 @@ class JsonObject:
 
     def object(self, key: str) -> JsonObject:
         """Field ``key`` as a JsonObject; an absent field is an empty object."""
+        self.read.add(key)
         return JsonObject(self._path(key), self.fields.get(key, {}))
+
+    def close(self, *expected: str) -> None:
+        """Raise a ConfigError naming the first key neither read nor ``expected``."""
+        for key in self.fields:
+            if key not in self.read and key not in expected:
+                raise ConfigError(f"config {self.where or 'top level'}: unknown key {key!r}")
 
     def _path(self, key: str) -> str:
         return f"{self.where}.{key}" if self.where else key
@@ -181,28 +194,51 @@ class Schema:
         raise ConfigError(f"column {name!r} not declared in schema")
 
 
+def _column_schema(name: str, c: JsonObject) -> ColumnSchema:
+    c.close("type", "levels", "units")
+    return ColumnSchema(
+        name=name,
+        kind=c.get("type", text),
+        levels=c.get("levels", names, ()),
+        units=c.get("units", text, ""),
+    )
+
+
+def _check_references(key: str, references: dict, columns: tuple[ColumnSchema, ...]) -> None:
+    """Each entry of ``reference_levels`` or ``reference_pairs`` is for a
+    declared categorical column and names only its declared levels."""
+    declared = {c.name: c for c in columns}
+    for name, ref in references.items():
+        where = f"config schema.{key}.{name}"
+        if name not in declared:
+            raise ConfigError(f"{where}: column {name!r} is not declared")
+        if declared[name].kind != "categorical":
+            raise ConfigError(f"{where}: column {name!r} is not categorical")
+        for level in (ref,) if isinstance(ref, str) else ref:
+            if level not in declared[name].levels:
+                raise ConfigError(f"{where}: {level!r} is not a level of {name!r}")
+
+
 def load_schema(path) -> Schema:
     with open(path, encoding="utf-8") as fh:
         raw = JsonObject("schema", json.load(fh))
     columns = tuple(
-        ColumnSchema(
-            name=name,
-            kind=c.get("type", text),
-            levels=c.get("levels", names, ()),
-            units=c.get("units", text, ""),
-        )
-        for name, c in raw.get("columns", mapped(JsonObject), {}).items()
+        _column_schema(name, c) for name, c in raw.get("columns", mapped(JsonObject), {}).items()
     )
     recode = raw.get("recode", mapped(mapped(text)), {})
     stray = set(recode) - {c.name for c in columns if c.kind == "categorical"}
     if stray:
         raise ConfigError(f"recode maps for {sorted(stray)}: not declared categorical columns")
-    return Schema(
+    schema = Schema(
         columns=columns,
         recode=recode,
         reference_levels=raw.get("reference_levels", mapped(text), {}),
         reference_pairs=raw.get("reference_pairs", mapped(level_pair), {}),
     )
+    raw.close()
+    _check_references("reference_levels", schema.reference_levels, columns)
+    _check_references("reference_pairs", schema.reference_pairs, columns)
+    return schema
 
 
 def read_edge_csv(path) -> list[tuple[str, str]]:

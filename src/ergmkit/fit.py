@@ -23,10 +23,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, Degeneracy, NonConvergence, Separation, SingularInformation
+from .errors import (
+    ConfigError,
+    Degeneracy,
+    ErgmkitError,
+    NonConvergence,
+    Separation,
+    SingularInformation,
+)
 from .graph import AttributeTable, Graph
 from .logistic import collinear_terms, fit_logistic, sigmoid
-from .model import CompiledModel, Edges, ModelSpec, TermSpec, term_to_dict
+from .model import CompiledModel, Edges, ModelSpec, TermSpec, dyad_endpoints, term_to_dict
 from .sampler import SamplerConfig, simulate, simulation_counters, write_stats_trace
 
 Z_95 = 1.959964
@@ -237,7 +244,7 @@ def fit_mcmle(
     outer_used = 0
     for outer in range(_MAX_OUTER):
         outer_used = outer + 1
-        _, S = simulate(g, theta_t, model, attrs, cfgs[outer], keep_graphs=False)
+        _, S = simulate(g, theta_t, model, attrs, cfgs[outer])
         _check_degeneracy(obs, S, cm.stat_names)
         delta = np.zeros(p)
         converged = False
@@ -283,7 +290,7 @@ def fit_mcmle(
         )
     # confirmation sample at the solution: weights are uniform, so the
     # weighted statistic covariance is the plain sample covariance
-    _, S = simulate(g, theta_hat, model, attrs, cfgs[_MAX_OUTER], keep_graphs=False)
+    _, S = simulate(g, theta_hat, model, attrs, cfgs[_MAX_OUTER])
     _check_degeneracy(obs, S, cm.stat_names)
     mean = S.mean(axis=0)
     centered = S - mean
@@ -433,31 +440,29 @@ def gof(
 
     Dyad-independent models are drawn exactly, so ``cfg.burn_in`` and
     ``cfg.thin`` apply only to models with gwdegree (see ``simulate``).
+    Each draw, the sorted int64 array of its tied dyads' lexicographic
+    positions, is reduced to its degree counts through ``dyad_endpoints``.
 
     ``aux_model`` adds statistics evaluated on the simulated graphs but
     absent from the fitted model, for detecting misfit the model cannot
     express; they are reported but excluded from the no-lack-of-fit flag.
-    ``trace_path`` writes the retained statistic vectors as a CSV for
-    mixing diagnostics.
+    Only these rows build a ``Graph`` per draw. ``trace_path`` writes the
+    retained statistic vectors as a CSV for mixing diagnostics.
     """
     if cfg.sample_count < 1:
         raise ConfigError("goodness-of-fit needs at least one simulated network")
     cm = CompiledModel(model, attrs, g.n)
     obs = cm.statistics(g)
-    graphs, S = simulate(g, theta, model, attrs, cfg, keep_graphs=True)
+    draws, S = simulate(g, theta, model, attrs, cfg)
     if trace_path is not None:
         write_stats_trace(trace_path, cm.stat_names, S)
     stat_rows = tuple(
         _gof_row(cm.stat_names[k], obs[k], S[:, k]) for k in range(cm.p)
     )
+    degrees = [np.bincount(dyad_endpoints(g.n, d).ravel(), minlength=g.n) for d in draws]
+    sim_deg = np.array([np.bincount(k, minlength=g.n) for k in degrees])
     obs_deg = np.bincount(g.degrees(), minlength=g.n)
-    sim_deg = np.zeros((len(graphs), g.n))
-    for s, gs in enumerate(graphs):
-        sim_deg[s] = np.bincount(gs.degrees(), minlength=g.n)
-    max_deg = max(
-        int(g.degrees().max(initial=0)),
-        int(max((int(gs.degrees().max(initial=0)) for gs in graphs), default=0)),
-    )
+    max_deg = int(max(g.degrees().max(), max(k.max() for k in degrees)))
     degree_rows = tuple(
         _gof_row(f"degree{d}", float(obs_deg[d]), sim_deg[:, d])
         for d in range(max_deg + 1)
@@ -466,6 +471,7 @@ def gof(
     if aux_model is not None:
         am = CompiledModel(aux_model, attrs, g.n)
         aux_obs = am.statistics(g)
+        graphs = (Graph(g.n, dyad_endpoints(g.n, d).tolist()) for d in draws)
         aux_sims = np.array([am.statistics(gs) for gs in graphs])
         aux_rows = tuple(
             _gof_row(am.stat_names[k], aux_obs[k], aux_sims[:, k])
@@ -517,7 +523,9 @@ def screen_univariate(
 ) -> ScreenReport:
     """Fit Edges + term for each candidate; keep terms with any p < alpha.
 
-    Fit failures are recorded per candidate without aborting the screen.
+    A candidate whose fit raises an ``ErgmkitError`` (separation, a
+    singular design) is recorded with the error without aborting the
+    screen; any other exception is a fault and propagates.
     """
     entries = []
     for term in candidates:
@@ -525,7 +533,7 @@ def screen_univariate(
             raise ConfigError("the edges term is the screening baseline, not a candidate")
         try:
             result = fit_mple(g, attrs, ModelSpec([Edges(), term]))
-        except Exception as exc:  # propagate per candidate, keep screening
+        except ErgmkitError as exc:  # recorded per candidate, keep screening
             entries.append(
                 ScreenEntry(term=term, selected=False, p_min=None, error=str(exc))
             )

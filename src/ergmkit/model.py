@@ -130,10 +130,11 @@ def term_to_dict(term: TermSpec) -> dict:
 
 def read_term(where: str, value) -> TermSpec:
     """The term a JSON object at ``where`` describes, as ``term_to_dict`` writes it."""
-    kind = JsonObject(where, value).get("term", text)
+    obj = JsonObject(where, value)
+    kind = obj.get("term", text)
     if kind not in TERM_KINDS:
         raise ConfigError(f"config {where}: unknown term kind {kind!r}")
-    return read_record(where, value, *TERM_KINDS[kind])
+    return read_record(obj, *TERM_KINDS[kind])
 
 
 def _gw_weights(decay: float, max_degree: int) -> np.ndarray:

@@ -169,7 +169,7 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
     top = JsonObject("", d)
     imp, fit = top.object("imputation"), top.object("fit")
     decay = top.get("gwdegree", number, None)
-    return RunConfig(
+    config = dict(
         edges=path(top.get("edges", text)),
         attributes=path(top.get("attributes", text)),
         schema=path(top.get("schema", text)),
@@ -196,6 +196,9 @@ def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
         seed=top.get("seed", count, 0),
         out=path(top.get("out", text, "out")),
     )
+    for obj in (top, imp, fit):
+        obj.close()
+    return RunConfig(**config)
 
 
 def load_config(path) -> RunConfig:

@@ -26,6 +26,10 @@ a retained sample's statistics are the tie counts times the compiled
 table, with the gwdegree entry set. A model without gwdegree runs the
 same rule with zero gwdegree weights and parameter.
 
+A draw is the sorted int64 array of its tied dyads' lexicographic
+positions (``dyad_index``, ``exact.graph_bitmask``), which
+``dyad_endpoints`` decodes; no ``Graph`` is built per draw.
+
 Randomness comes from numpy's PCG64 stream seeded from SamplerConfig.seed;
 proposal dyads and acceptance uniforms are drawn in blocks, in that order,
 which fixes the bit stream for golden tests. One chain is single threaded;
@@ -128,9 +132,6 @@ class ChainState:
             out[self.gw_offset] = self.gw
         return out
 
-    def graph(self) -> Graph:
-        return Graph(self.n, dyad_endpoints(self.n, self.tied.nonzero()[0]).tolist())
-
     def add_thresholds(self) -> np.ndarray:
         """Per block, a uniform at or above which every add is rejected.
 
@@ -159,9 +160,9 @@ def _checked_theta(theta: np.ndarray, cm: CompiledModel) -> np.ndarray:
     return theta
 
 
-def _revalidated(cm: CompiledModel, g: Graph, stats: np.ndarray, tol: float) -> np.ndarray:
-    """A full recompute of g's statistics, checked against ``stats``."""
-    fresh = cm.statistics(g)
+def _revalidated(cm: CompiledModel, draw: np.ndarray, stats: np.ndarray, tol: float) -> np.ndarray:
+    """A full recompute of the statistics of a draw, checked against ``stats``."""
+    fresh = cm.statistics(Graph(cm.n, dyad_endpoints(cm.n, draw).tolist()))
     drift = float(np.max(np.abs(fresh - stats))) if cm.p else 0.0
     if drift > tol:
         raise RuntimeError(f"incremental statistic drift {drift:g} exceeds {tol:g}")
@@ -174,22 +175,22 @@ def sample(
     model: ModelSpec,
     attrs: AttributeTable,
     cfg: SamplerConfig,
-    keep_graphs: bool = True,
-) -> tuple[list[Graph], np.ndarray]:
-    """Run one chain; return retained graphs and their statistic vectors.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Run one chain; return the retained draws and their statistic vectors.
 
     Retains a sample every ``thin`` proposals after ``burn_in`` proposals.
     Each proposal toggles a uniform dyad with the rule in the module
     docstring; an accepted toggle moves its block's tie count, the endpoint
     degrees and the running gwdegree statistic. The statistics of each
     retained sample are read off that state, and those of the last one are
-    checked against a full recompute of its graph. Fully determined by
-    inputs + seed.
+    checked against a full recompute of its graph. A draw is the sorted
+    int64 array of its tied dyads' lexicographic positions. Fully
+    determined by inputs + seed.
 
     Proposals that cannot change the chain are skipped unseen: an add of a
     dyad that is off at the start of its block of draws, when no proposal
     of that dyad in the block drew a uniform below its block's threshold.
-    The rule rejects each of them, so the retained statistics and graphs
+    The rule rejects each of them, so the retained statistics and draws
     are those of running every proposal.
     """
     state = ChainState(g0, theta, model, attrs)
@@ -197,7 +198,7 @@ def sample(
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     total = cfg.proposals(g0.n)
     retained_stats = np.empty((cfg.sample_count, state.cm.p))
-    graphs: list[Graph] = []
+    draws: list[np.ndarray] = []
     blocks, bits, deg, eta, ties = state.blocks, state.bits, state.deg, state.eta, state.ties
     wdiff, theta_gw, exp = state.wdiff, state.theta_gw, math.exp
     threshold = state.add_thresholds()[blocks]
@@ -239,13 +240,12 @@ def sample(
                     state.gw += sign * gw
             if k < retains:
                 retained_stats[kept] = state.statistics()
-                if keep_graphs:
-                    graphs.append(state.graph())
+                draws.append(state.tied.nonzero()[0])
                 kept += 1
         next_retain += thin * retains
         done += block
-    _revalidated(state.cm, state.graph(), state.statistics(), 1e-9)
-    return graphs, retained_stats
+    _revalidated(state.cm, draws[-1], retained_stats[-1], 1e-9)
+    return draws, retained_stats
 
 
 def simulate(
@@ -254,8 +254,7 @@ def simulate(
     model: ModelSpec,
     attrs: AttributeTable,
     cfg: SamplerConfig,
-    keep_graphs: bool = True,
-) -> tuple[list[Graph], np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Draw ``cfg.sample_count`` graphs at theta; same contract as ``sample``.
 
     Dyad-independent models are drawn exactly and ``g0`` only fixes the
@@ -265,22 +264,20 @@ def simulate(
     + seed.
     """
     if not model.dyad_independent:
-        return sample(g0, theta, model, attrs, cfg, keep_graphs)
+        return sample(g0, theta, model, attrs, cfg)
     cm = CompiledModel(model, attrs, g0.n)
     theta = _checked_theta(theta, cm)
     blocks = cm.dyad_blocks()
     prob = sigmoid(cm.table @ theta)[blocks]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     retained_stats = np.empty((cfg.sample_count, cm.p))
-    graphs: list[Graph] = []
+    draws: list[np.ndarray] = []
     for k in range(cfg.sample_count):
         on = np.flatnonzero(rng.random(len(prob)) < prob)
         retained_stats[k] = np.bincount(blocks[on], minlength=len(cm.table)) @ cm.table
-        if keep_graphs:
-            graphs.append(Graph(cm.n, dyad_endpoints(cm.n, on).tolist()))
-    last = graphs[-1] if keep_graphs else Graph(cm.n, dyad_endpoints(cm.n, on).tolist())
-    _revalidated(cm, last, retained_stats[-1], 1e-9)
-    return graphs, retained_stats
+        draws.append(on)
+    _revalidated(cm, on, retained_stats[-1], 1e-9)
+    return draws, retained_stats
 
 
 def simulation_counters(model: ModelSpec, n: int, cfg: SamplerConfig) -> dict:

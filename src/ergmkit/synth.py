@@ -37,7 +37,7 @@ from .graph import (
 )
 from .imputation import MissingnessMask
 from .logistic import sigmoid
-from .model import ModelSpec, read_term, term_to_dict
+from .model import ModelSpec, dyad_endpoints, read_term, term_to_dict
 from .sampler import SamplerConfig, simulate
 
 
@@ -139,8 +139,8 @@ def generate(
     cfg = SamplerConfig(
         burn_in=spec.burn_in, thin=1, sample_count=1, seed=graph_seed
     )
-    graphs, _ = simulate(Graph(spec.n), theta, spec.model, complete, cfg)
-    g = graphs[0]
+    draws, _ = simulate(Graph(spec.n), theta, spec.model, complete, cfg)
+    g = Graph(spec.n, dyad_endpoints(spec.n, draws[0]).tolist())
 
     mrng = np.random.Generator(np.random.PCG64(miss_ss))
     new_cols = {c.name: c for c in complete.columns()}
@@ -180,22 +180,23 @@ _TYPE_OF = {cls: kind for kind, (cls, _) in _COLUMN_TYPES.items()}
 
 
 def _column_spec(where: str, value) -> CategoricalSpec | ContinuousSpec:
-    kind = JsonObject(where, value).get("type", text)
+    obj = JsonObject(where, value)
+    kind = obj.get("type", text)
     if kind not in _COLUMN_TYPES:
         raise ConfigError(f"config {where}: unknown type {kind!r}")
-    return read_record(where, value, *_COLUMN_TYPES[kind])
+    return read_record(obj, *_COLUMN_TYPES[kind])
 
 
 def _missing_spec(where: str, value) -> MissingSpec:
     readers = {
         "column": text, "rate": number, "mechanism": text, "covariate": text, "slope": number
     }
-    return read_record(where, value, MissingSpec, readers)
+    return read_record(JsonObject(where, value), MissingSpec, readers)
 
 
 def spec_from_dict(d: dict) -> SynthSpec:
     top = JsonObject("", d)
-    return SynthSpec(
+    spec = dict(
         n=top.get("n", count),
         columns=top.get("columns", mapped(_column_spec), {}),
         model=checked("model", ModelSpec, top.get("model", each(read_term))),
@@ -204,6 +205,8 @@ def spec_from_dict(d: dict) -> SynthSpec:
         seed=top.get("seed", count, 0),
         burn_in=top.get("burn_in", count, None),
     )
+    top.close()
+    return SynthSpec(**spec)
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:

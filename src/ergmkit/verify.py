@@ -90,7 +90,7 @@ def run_verification() -> bool:
     attrs5 = _fixture(5)
     want = exact_expected_stats(exact_distribution(5, attrs5, model_gw, theta))
     cfg = SamplerConfig(burn_in=2000, thin=20, sample_count=20000, seed=2024)
-    _, stats_mat = sample(Graph(5), theta, model_gw, attrs5, cfg, keep_graphs=False)
+    _, stats_mat = sample(Graph(5), theta, model_gw, attrs5, cfg)
     got_mean = stats_mat.mean(axis=0)
     se = stats_mat.std(axis=0) / math.sqrt(len(stats_mat))
     ok = bool(np.all(np.abs(got_mean - want) <= 4.0 * np.maximum(se, 1e-6)))

@@ -30,6 +30,43 @@ def all_dyads(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def draw_graph(n, draw):
+    """The graph of a draw: tied dyad positions in ``all_dyads`` order."""
+    dyads = all_dyads(n)
+    return Graph(n, [dyads[k] for k in draw])
+
+
+def draw_bitmask(draw):
+    """Edge-set bitmask of a draw, bit d = dyad d, as ``exact.graph_bitmask``."""
+    return sum(1 << int(k) for k in draw)
+
+
+def gof_draw_rows(g, attrs, draws, aux_model):
+    """(name, observed, simulated values) of gof's degree and aux rows,
+    rebuilt from draws decoded through ``all_dyads`` with plain loops."""
+    dyads = all_dyads(g.n)
+
+    def degrees(edges):
+        out = [0] * g.n
+        for i, j in edges:
+            out[i] += 1
+            out[j] += 1
+        return out
+
+    observed = degrees(g.edges)
+    simulated = [degrees(dyads[k] for k in draw) for draw in draws]
+    top = max(observed + [d for sim in simulated for d in sim])
+    degree_rows = [
+        (f"degree{k}", float(observed.count(k)), np.array([float(s.count(k)) for s in simulated]))
+        for k in range(top + 1)
+    ]
+    aux_obs = brute_statistics(g, attrs, aux_model)
+    aux_sims = np.array([brute_statistics(draw_graph(g.n, d), attrs, aux_model) for d in draws])
+    names = CompiledModel(aux_model, attrs, g.n).stat_names
+    aux_rows = [(name, aux_obs[k], aux_sims[:, k]) for k, name in enumerate(names)]
+    return degree_rows, aux_rows
+
+
 def graphs_on(n):
     """Every labeled simple graph on n nodes (2^(n(n-1)/2) of them)."""
     dyads = all_dyads(n)
@@ -389,7 +426,7 @@ def reference_forest(X, y, trees, mtry, min_leaf, classify, seed):
 # ---- Metropolis chain oracle (one proposal at a time) -----------------------
 
 
-def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed, keep_graphs=True):
+def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed):
     """The toggle chain run on every proposal, as an oracle for ``sample``.
 
     Proposal dyads and uniforms come from ``PCG64(seed)`` in runs of 2**15,
@@ -399,7 +436,8 @@ def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed, 
     keeps a bit per dyad, block tie counts, degrees and the running
     gwdegree statistic, and reads a retained sample's statistics off them
     after every ``thin`` proposals past ``burn_in``. Returns the retained
-    graphs (or []) and statistics.
+    draws, each the sorted int64 positions of its tied dyads in
+    ``all_dyads`` order, and statistics.
     """
     cm = CompiledModel(model, attrs, g0.n)
     theta = np.asarray(theta, dtype=np.float64)
@@ -425,7 +463,7 @@ def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed, 
 
     total = burn_in + thin * sample_count
     rng = np.random.Generator(np.random.PCG64(seed))
-    stats, graphs = [], []
+    stats, draws = [], []
     made = 0
     while made < total:
         size = min(1 << 15, total - made)
@@ -447,9 +485,8 @@ def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed, 
             made += 1
             if made > burn_in and (made - burn_in) % thin == 0:
                 stats.append(statistics())
-                if keep_graphs:
-                    graphs.append(Graph(n, [dyads[k] for k in range(len(dyads)) if tie[k]]))
-    return graphs, np.array(stats).reshape(sample_count, cm.p)
+                draws.append(np.array([k for k in range(len(dyads)) if tie[k]], dtype=np.int64))
+    return draws, np.array(stats).reshape(sample_count, cm.p)
 
 
 # ---- attribute builders ---------------------------------------------------

@@ -21,7 +21,6 @@ from ergmkit.exact import (
     exact_expected_stats,
     exact_log_likelihood,
     exact_mle,
-    graph_bitmask,
 )
 from ergmkit.fit import fit_mcmle, fit_mple, or_table, screen_univariate
 from ergmkit.forest import ForestConfig
@@ -41,7 +40,7 @@ from ergmkit.pipeline import load_config, run
 from ergmkit.sampler import SamplerConfig, sample
 from ergmkit.synth import CategoricalSpec, SynthSpec, generate
 
-from conftest import all_dyads, graphs_on, two_level_attrs
+from conftest import all_dyads, draw_bitmask, graphs_on, two_level_attrs
 from test_pipeline import make_config, make_dataset
 
 
@@ -120,11 +119,11 @@ def test_criterion_3_sampler_vs_exact_distribution():
         dist = exact_distribution(5, attrs, model, theta)
         probs = dist.probabilities()
         cfg = SamplerConfig(burn_in=5000, thin=25, sample_count=100_000, seed=42)
-        graphs, stat_mat = sample(Graph(5), theta, model, attrs, cfg)
+        draws, stat_mat = sample(Graph(5), theta, model, attrs, cfg)
         counts = np.zeros(len(probs))
-        for g in graphs:
-            counts[graph_bitmask(g)] += 1
-        expected = probs * len(graphs)
+        for d in draws:
+            counts[draw_bitmask(d)] += 1
+        expected = probs * len(draws)
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         threshold = float(sps.chi2.ppf(0.99, len(probs) - 1))
         assert chi2 < threshold, f"chi2 {chi2:.1f} >= {threshold:.1f}"

@@ -280,6 +280,30 @@ class TestExitCodes:
                 "duplicate statistic names",
                 id="duplicate-term",
             ),
+            pytest.param(
+                {"fit": {"sample": 64}}, "config fit: unknown key 'sample'", id="fit-unknown-key"
+            ),
+            pytest.param(
+                {
+                    "family": "final",
+                    "final_candidates": [
+                        {"term": "nodematch", "attr": "sex", "diferential": False}
+                    ],
+                },
+                "config final_candidates[0]: unknown key 'diferential'",
+                id="term-unknown-key",
+            ),
+            pytest.param(
+                {"family": "final", "final_candidates": [{"term": "edges", "attr": "sex"}]},
+                "config final_candidates[0]: unknown key 'attr'",
+                id="edges-with-attr",
+            ),
+            pytest.param(
+                {"imputation": {"tree": 10}},
+                "config imputation: unknown key 'tree'",
+                id="imputation-unknown-key",
+            ),
+            pytest.param({"sead": 3}, "config top level: unknown key 'sead'", id="top-unknown-key"),
         ],
     )
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, overrides, named):
@@ -314,6 +338,44 @@ class TestExitCodes:
                 {"reference_pairs": {"living": ["homeless"]}},
                 "config schema.reference_pairs.living: expected a list of two strings",
                 id="one-level-pair",
+            ),
+            pytest.param(
+                {"description": "x"}, "config schema: unknown key 'description'", id="unknown-key"
+            ),
+            pytest.param(
+                {"columns": {"sex": {"type": "categorical", "levels": ["male", "female"], "unit": "x"}}},
+                "config schema.columns.sex: unknown key 'unit'",
+                id="column-unknown-key",
+            ),
+            pytest.param(
+                {"reference_levels": {"sex": "robot"}},
+                "config schema.reference_levels.sex: 'robot' is not a level of 'sex'",
+                id="reference-level-undeclared",
+            ),
+            pytest.param(
+                {"reference_levels": {"sex": "male", "nope": "x"}},
+                "config schema.reference_levels.nope: column 'nope' is not declared",
+                id="reference-level-column-undeclared",
+            ),
+            pytest.param(
+                {"reference_levels": {"age": "x"}},
+                "config schema.reference_levels.age: column 'age' is not categorical",
+                id="reference-level-continuous",
+            ),
+            pytest.param(
+                {"reference_pairs": {"living": ["homeless", "tent"]}},
+                "config schema.reference_pairs.living: 'tent' is not a level of 'living'",
+                id="reference-pair-level-undeclared",
+            ),
+            pytest.param(
+                {"reference_pairs": {"nope": ["a", "b"]}},
+                "config schema.reference_pairs.nope: column 'nope' is not declared",
+                id="reference-pair-column-undeclared",
+            ),
+            pytest.param(
+                {"reference_pairs": {"age": ["a", "b"]}},
+                "config schema.reference_pairs.age: column 'age' is not categorical",
+                id="reference-pair-continuous",
             ),
         ],
     )
@@ -444,6 +506,22 @@ class TestExitCodes:
                 {"missing": [{"column": "sex", "rate": 0.1, "mechanism": "mar", "covariate": "x"}]},
                 "missingness names 'x'",
                 id="mar-undeclared-covariate",
+            ),
+            pytest.param({"sed": 3}, "config top level: unknown key 'sed'", id="unknown-key"),
+            pytest.param(
+                {"columns": {"sex": {"type": "categorical", "levels": ["m", "f"], "prob": [1, 0]}}},
+                "config columns.sex: unknown key 'prob'",
+                id="column-unknown-key",
+            ),
+            pytest.param(
+                {"missing": [{"column": "sex", "rate": 0.1, "mechanisms": "mar"}]},
+                "config missing[0]: unknown key 'mechanisms'",
+                id="missingness-unknown-key",
+            ),
+            pytest.param(
+                {"model": [{"term": "edges"}, {"term": "gwdegree", "decays": 0.5}]},
+                "config model[1]: unknown key 'decays'",
+                id="term-unknown-key",
             ),
         ],
     )

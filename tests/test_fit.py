@@ -12,6 +12,7 @@ import ergmkit.fit as fit_module
 import ergmkit.sampler as sampler_module
 from ergmkit.fit import (
     Z_95,
+    _gof_row,
     fit_counters,
     fit_mcmle,
     fit_mple,
@@ -30,10 +31,10 @@ from ergmkit.model import (
     NodeMix,
     statistics,
 )
-from ergmkit.sampler import SamplerConfig, sample
+from ergmkit.sampler import SamplerConfig, sample, simulate
 from ergmkit.synth import CategoricalSpec, SynthSpec, generate
 
-from conftest import all_dyads, two_level_attrs
+from conftest import all_dyads, gof_draw_rows, two_level_attrs
 
 
 def brute_pseudo_mle(g, attrs, model):
@@ -253,7 +254,7 @@ class TestMcmle:
         obs = statistics(g, attrs, model)
         S = np.column_stack([obs[0] + np.array([-1.0, 1.0] * 50), np.full(100, obs[1])])
 
-        def constant_match(g0, theta, model, attrs, cfg, keep_graphs=True):
+        def constant_match(g0, theta, model, attrs, cfg):
             return [], S.copy()
 
         monkeypatch.setattr(fit_module, "simulate", constant_match)
@@ -393,6 +394,26 @@ class TestGof:
         report = gof(g, attrs, ModelSpec([Edges()]), np.array([-1.0]), cfg)
         assert any(r.name == "degree0" for r in report.degree_rows)
 
+    @pytest.mark.parametrize(
+        "model, theta",
+        [
+            (ModelSpec([Edges(), NodeMatch("grp")]), [-1.0, 0.5, 0.3]),
+            (ModelSpec([Edges(), GwDegree(0.5)]), [-1.2, 0.4]),
+        ],
+        ids=["dyad-independent", "gwdegree"],
+    )
+    def test_degree_and_aux_rows_equal_rows_rebuilt_from_draws(self, model, theta):
+        attrs = two_level_attrs(9, 4)
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 7), (6, 8), (0, 8), (1, 8)])
+        aux = ModelSpec([NodeMatch("grp", differential=False), NodeFactor("grp", "a")])
+        theta = np.array(theta)
+        cfg = SamplerConfig(burn_in=300, thin=20, sample_count=60, seed=12)
+        report = gof(g, attrs, model, theta, cfg, aux_model=aux)
+        draws, _ = simulate(g, theta, model, attrs, cfg)
+        degree_rows, aux_rows = gof_draw_rows(g, attrs, draws, aux)
+        assert report.degree_rows == tuple(_gof_row(*row) for row in degree_rows)
+        assert report.aux_rows == tuple(_gof_row(*row) for row in aux_rows)
+
     def test_gwdegree_model_uses_the_chain(self, tmp_path):
         attrs = two_level_attrs(6, 3)
         model = ModelSpec([Edges(), GwDegree(0.5)])
@@ -492,3 +513,20 @@ class TestScreen:
         )
         assert report.entries[0].error is not None
         assert report.entries[1].selected
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only package errors are a candidate's recorded failure; any other
+        # exception fails the screen instead of silently dropping the term
+        attrs = two_level_attrs(6, 3)
+        g = Graph(6, [(0, 1), (1, 2), (3, 4), (2, 5)])
+        fit_mple = fit_module.fit_mple
+
+        def broken_for_nodefactor(g, attrs, model):
+            if isinstance(model.terms[1], NodeFactor):
+                raise TypeError("bug")
+            return fit_mple(g, attrs, model)
+
+        monkeypatch.setattr(fit_module, "fit_mple", broken_for_nodefactor)
+        candidates = [NodeMatch("grp", differential=False), NodeFactor("grp", "a")]
+        with pytest.raises(TypeError, match="bug"):
+            screen_univariate(g, attrs, candidates)

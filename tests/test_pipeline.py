@@ -353,9 +353,9 @@ class TestRun:
 
     def test_failed_marker_names_stage(self, tmp_path):
         make_dataset(tmp_path, missing_rate=0.0)
-        # break the schema reference level to force a model-stage error
+        # drop a reference level the factor family needs: a model-stage error
         schema = json.loads((tmp_path / "schema.json").read_text())
-        schema["reference_levels"]["sex"] = "robot"
+        del schema["reference_levels"]["sex"]
         (tmp_path / "schema.json").write_text(json.dumps(schema))
         path = make_config(tmp_path, family="factor", out=str(tmp_path / "boom"))
         with pytest.raises(Exception):

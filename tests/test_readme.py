@@ -1,4 +1,5 @@
-"""The README's JSON examples parse through the readers they document."""
+"""The README's JSON examples parse through the readers they document, and
+its library example runs."""
 
 from __future__ import annotations
 
@@ -28,29 +29,35 @@ READERS = {
 }
 
 
-def json_blocks() -> list[tuple[str, str]]:
-    """(heading, text) of every fenced json block, under its nearest heading."""
-    blocks, heading, block = [], None, None
+def blocks(language: str) -> list[tuple[str, str]]:
+    """(heading, text) of every fenced block in ``language``, under its nearest heading."""
+    found, heading, block = [], None, None
     for line in README.read_text().splitlines(keepends=True):
         if block is not None:
             if line.startswith("```"):
-                blocks.append((heading, "".join(block)))
+                found.append((heading, "".join(block)))
                 block = None
             else:
                 block.append(line)
         elif line.startswith("#"):
             heading = line.lstrip("#").strip()
-        elif line.strip() == "```json":
+        elif line.strip() == f"```{language}":
             block = []
-    return blocks
+    return found
 
 
 def test_readme_has_every_format():
-    assert sorted({h for h, _ in json_blocks()}) == sorted(READERS)
+    assert sorted({h for h, _ in blocks("json")}) == sorted(READERS)
 
 
 @pytest.mark.parametrize(
-    "heading, text", [pytest.param(h, t, id=h) for h, t in json_blocks()]
+    "heading, text", [pytest.param(h, t, id=h) for h, t in blocks("json")]
 )
 def test_json_block_parses(heading, text, tmp_path):
     READERS[heading](json.loads(text), tmp_path)
+
+
+def test_library_example_runs(capsys):
+    (code,) = [text for heading, text in blocks("python") if heading == "Library use"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out

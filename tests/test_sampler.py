@@ -19,7 +19,14 @@ from ergmkit.sampler import (
     simulation_counters,
 )
 
-from conftest import random_graph, reference_chain, two_level_attrs
+from conftest import (
+    all_dyads,
+    draw_bitmask,
+    draw_graph,
+    random_graph,
+    reference_chain,
+    two_level_attrs,
+)
 
 
 EDGES = ModelSpec([Edges()])
@@ -44,17 +51,16 @@ class TestMhStep:
     def test_zero_theta_always_accepts(self):
         attrs = two_level_attrs(5, 3)
         cfg = SamplerConfig(burn_in=0, thin=1, sample_count=200, seed=1)
-        g0 = Graph(5)
-        graphs, _ = sample(g0, np.zeros(1), EDGES, attrs, cfg)
-        # every proposal is accepted, so each graph is one toggle from the last
-        for before, after in zip([g0] + graphs, graphs):
-            assert len(before.edges ^ after.edges) == 1
+        draws, _ = sample(Graph(5), np.zeros(1), EDGES, attrs, cfg)
+        # every proposal is accepted, so each draw is one toggle from the last
+        for before, after in zip([np.array([], dtype=np.int64)] + draws, draws):
+            assert len(np.setxor1d(before, after)) == 1
 
     def test_strongly_negative_edges_keeps_empty_graph_absorbing(self):
         attrs = two_level_attrs(5, 3)
         cfg = SamplerConfig(burn_in=0, thin=1, sample_count=2000, seed=2)
-        graphs, stats = sample(Graph(5), np.array([-50.0]), EDGES, attrs, cfg)
-        assert all(g.edge_count == 0 for g in graphs)
+        draws, stats = sample(Graph(5), np.array([-50.0]), EDGES, attrs, cfg)
+        assert all(len(d) == 0 for d in draws)
         assert not stats.any()
 
     def test_long_run_density_matches_logit(self):
@@ -64,7 +70,7 @@ class TestMhStep:
         target = 0.3
         theta = np.array([math.log(target / (1 - target))])
         cfg = SamplerConfig(burn_in=2000, thin=120, sample_count=10000, seed=9)
-        _, stats = sample(Graph(6), theta, EDGES, attrs, cfg, keep_graphs=False)
+        _, stats = sample(Graph(6), theta, EDGES, attrs, cfg)
         mean_edges = stats[:, 0].mean()
         want = 15 * target
         se = stats[:, 0].std() / math.sqrt(len(stats))
@@ -76,15 +82,15 @@ class TestSample:
         attrs = two_level_attrs(4, 2)
         cfg = SamplerConfig(burn_in=0, thin=1, sample_count=1, seed=5)
         g0 = Graph(4, [(0, 1)])
-        graphs, stats = sample(g0, np.zeros(1), EDGES, attrs, cfg)
-        assert len(graphs) == 1
-        flipped = graphs[0].edges ^ g0.edges
+        draws, stats = sample(g0, np.zeros(1), EDGES, attrs, cfg)
+        assert len(draws) == 1
+        flipped = set(draw_graph(4, draws[0]).edges) ^ g0.edges
         assert len(flipped) == 1  # theta=0 accepts, so exactly one toggle
 
     def test_uniform_mean_edge_count(self):
         attrs = two_level_attrs(5, 3)
         cfg = SamplerConfig(burn_in=1000, thin=10, sample_count=50000, seed=31)
-        _, stats = sample(Graph(5), np.zeros(1), EDGES, attrs, cfg, keep_graphs=False)
+        _, stats = sample(Graph(5), np.zeros(1), EDGES, attrs, cfg)
         mean = stats[:, 0].mean()
         se = stats[:, 0].std() / math.sqrt(len(stats))
         assert abs(mean - 5.0) <= 3 * se
@@ -94,7 +100,7 @@ class TestSample:
         model = ModelSpec([Edges(), NodeMatch("grp", differential=False)])
         theta = np.array([-0.5, 0.9])
         cfg = SamplerConfig(burn_in=2000, thin=25, sample_count=30000, seed=17)
-        _, stats = sample(Graph(5), theta, model, attrs, cfg, keep_graphs=False)
+        _, stats = sample(Graph(5), theta, model, attrs, cfg)
         want = exact_expected_stats(exact_distribution(5, attrs, model, theta))
         se = stats.std(axis=0) / math.sqrt(len(stats))
         assert np.all(np.abs(stats.mean(axis=0) - want) <= 3 * np.maximum(se, 1e-9))
@@ -104,22 +110,23 @@ class TestSample:
         model = ModelSpec([Edges(), NodeMatch("grp")])
         theta = np.array([-0.2, 0.4, 0.1])
         cfg = SamplerConfig(burn_in=100, thin=5, sample_count=50, seed=77)
-        g1, s1 = sample(Graph(5), theta, model, attrs, cfg)
-        g2, s2 = sample(Graph(5), theta, model, attrs, cfg)
-        assert g1 == g2
+        d1, s1 = sample(Graph(5), theta, model, attrs, cfg)
+        d2, s2 = sample(Graph(5), theta, model, attrs, cfg)
+        assert [d.tolist() for d in d1] == [d.tolist() for d in d2]
         np.testing.assert_array_equal(s1, s2)
-        g3, _ = sample(Graph(5), theta, model, attrs, SamplerConfig(100, 5, 50, seed=78))
-        assert g3 != g1
+        d3, _ = sample(Graph(5), theta, model, attrs, SamplerConfig(100, 5, 50, seed=78))
+        assert [d.tolist() for d in d3] != [d.tolist() for d in d1]
 
     def test_retained_stats_equal_full_recompute(self):
         attrs = two_level_attrs(6, 3)
         model = ModelSpec([Edges(), NodeMatch("grp"), GwDegree(0.5)])
         theta = np.array([-0.5, 0.6, 0.2, 0.3])
         cfg = SamplerConfig(burn_in=500, thin=30, sample_count=40, seed=13)
-        graphs, stats = sample(Graph(6), theta, model, attrs, cfg)
-        for g, row in zip(graphs, stats):
+        draws, stats = sample(Graph(6), theta, model, attrs, cfg)
+        for d, row in zip(draws, stats):
+            assert d.dtype == np.int64 and np.all(np.diff(d) > 0)
             np.testing.assert_allclose(
-                row, statistics(g, attrs, model), atol=1e-9
+                row, statistics(draw_graph(6, d), attrs, model), atol=1e-9
             )
 
     def test_gwdegree_chain_matches_enumeration(self):
@@ -127,7 +134,7 @@ class TestSample:
         model = ModelSpec([Edges(), GwDegree(0.5)])
         theta = np.array([-0.8, 0.5])
         cfg = SamplerConfig(burn_in=3000, thin=30, sample_count=30000, seed=23)
-        _, stats = sample(Graph(5), theta, model, attrs, cfg, keep_graphs=False)
+        _, stats = sample(Graph(5), theta, model, attrs, cfg)
         want = exact_expected_stats(exact_distribution(5, attrs, model, theta))
         se = stats.std(axis=0) / math.sqrt(len(stats))
         assert np.all(np.abs(stats.mean(axis=0) - want) <= 3.5 * np.maximum(se, 1e-9))
@@ -148,7 +155,7 @@ class TestGoldenStream:
         model = ModelSpec([Edges(), NodeMatch("grp"), GwDegree(0.5)])
         theta = np.array([-1.0, 0.6, 0.3, 0.4])
         cfg = SamplerConfig(burn_in=200, thin=15, sample_count=25, seed=2024)
-        graphs, stats = sample(Graph(8, [(0, 1), (2, 5)]), theta, model, attrs, cfg)
+        draws, stats = sample(Graph(8, [(0, 1), (2, 5)]), theta, model, attrs, cfg)
         want = np.array(
             [
                 [12.0, 2.0, 3.0, 12.29239775875015],
@@ -179,7 +186,7 @@ class TestGoldenStream:
             ]
         )
         np.testing.assert_array_equal(stats, want)
-        assert sorted(graphs[-1].edges) == [
+        assert [all_dyads(8)[k] for k in draws[-1]] == [
             (0, 2), (0, 5), (1, 3), (1, 4), (1, 5), (1, 6), (2, 6),
             (2, 7), (3, 5), (3, 7), (4, 5), (4, 6), (6, 7),
         ]
@@ -233,10 +240,11 @@ def test_sample_equals_reference_chain(n, start, match, gw, theta, controls, see
     model, values = ModelSpec(terms), np.array(values)
     g0 = random_graph(n, {"empty": 0.0, "random": 0.3, "complete": 1.0}[start], seed % 1000)
     burn, thin, count = controls
-    graphs, stats = sample(g0, values, model, attrs, SamplerConfig(burn, thin, count, seed))
-    want_graphs, want_stats = reference_chain(g0, values, model, attrs, burn, thin, count, seed)
+    draws, stats = sample(g0, values, model, attrs, SamplerConfig(burn, thin, count, seed))
+    want_draws, want_stats = reference_chain(g0, values, model, attrs, burn, thin, count, seed)
     assert np.array_equal(stats, want_stats)
-    assert [g.edges for g in graphs] == [g.edges for g in want_graphs]
+    assert all(d.dtype == np.int64 for d in draws)
+    assert [d.tolist() for d in draws] == [d.tolist() for d in want_draws]
 
 
 class TestSimulate:
@@ -248,11 +256,13 @@ class TestSimulate:
         dist = exact_distribution(5, attrs, model, theta)
         probs = dist.probabilities()
         cfg = SamplerConfig(sample_count=100_000, seed=42)
-        graphs, stat_mat = simulate(Graph(5), theta, model, attrs, cfg)
+        draws, stat_mat = simulate(Graph(5), theta, model, attrs, cfg)
         counts = np.zeros(len(probs))
-        for g in graphs:
-            counts[graph_bitmask(g)] += 1
-        expected = probs * len(graphs)
+        for d in draws:
+            counts[draw_bitmask(d)] += 1
+        # the chi-square is taken over the enumeration's own state order
+        assert all(draw_bitmask(d) == graph_bitmask(draw_graph(5, d)) for d in draws[:50])
+        expected = probs * len(draws)
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         threshold = float(sps.chi2.ppf(0.99, len(probs) - 1))
         assert chi2 < threshold, f"chi2 {chi2:.1f} >= {threshold:.1f}"
@@ -264,9 +274,10 @@ class TestSimulate:
         attrs = two_level_attrs(6, 3)
         model = ModelSpec([Edges(), NodeMatch("grp")])
         theta = np.array([-0.5, 0.6, 0.2])
-        graphs, stats = simulate(Graph(6), theta, model, attrs, SamplerConfig(sample_count=40, seed=13))
-        for g, row in zip(graphs, stats):
-            np.testing.assert_array_equal(row, statistics(g, attrs, model))
+        draws, stats = simulate(Graph(6), theta, model, attrs, SamplerConfig(sample_count=40, seed=13))
+        for d, row in zip(draws, stats):
+            assert d.dtype == np.int64 and np.all(np.diff(d) > 0)
+            np.testing.assert_array_equal(row, statistics(draw_graph(6, d), attrs, model))
 
     def test_exact_path_ignores_start_and_chain_controls(self):
         attrs = two_level_attrs(6, 3)
@@ -279,9 +290,8 @@ class TestSimulate:
             model,
             attrs,
             SamplerConfig(burn_in=7, thin=3, sample_count=20, seed=8),
-            keep_graphs=False,
         )
-        assert b[0] == []
+        assert [d.tolist() for d in a[0]] == [d.tolist() for d in b[0]]
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_counters(self):
