@@ -1,28 +1,31 @@
 """Bagged CART trees for the iterative imputer.
 
 Classification trees split on Gini impurity, regression trees on variance
-reduction; mtry candidate features are drawn per split. Per-tree random
+reduction; mtry candidate features are tried per split. Per-tree random
 streams are spawned from the master seed, so results do not depend on
 training order. When min_leaf rules out any split, bootstrapping is
 skipped and the forest collapses to the exact training aggregate (the
 column mode or mean) instead of a resampled one.
 
-Trees grow over Python lists, because their nodes are small (tens of rows)
-and a numpy call per node and feature costs more than the arithmetic. A
-node is a list of bootstrap positions. Each candidate feature sorts them
-once (``sorted`` is stable) and scans them once, scoring every cut between
-distinct values: classification keeps exact integer class counts,
-regression takes prefix sums in sequence. The gains are those of a stable
-argsort with cumulative sums, bit for bit; the first cut of largest gain
-wins within a feature, and a later feature must beat the best by 1e-12.
-Regression node means and impurities keep numpy's pairwise sums.
+All trees grow together, one depth level at a time, with a fixed number of
+numpy calls per level over every node of that level in every tree. Each
+tree's stream draws its bootstrap rows, then at each level one
+``random((k, F))`` block for its k nodes that may split, in level order
+(left child before right). A node tries the mtry features of smallest
+uniform, in that order: a uniform random subset. The split search is one
+stable argsort of (segment, dense value rank) keys over all (node row,
+candidate) entries. Classification scores cuts with exact integer class
+counts; regression with running sums in sorted order, and node means and
+impurities with running sums in bootstrap order, each added in sequence
+from zero. The first cut of largest gain wins within a feature, a NaN gain
+disqualifies the feature, and a later feature must beat the best by 1e-12.
+Trees are flat node arrays, and prediction walks all of them at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -44,171 +47,109 @@ class ForestConfig:
             raise ConfigError("mtry must be >= 1")
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+def _running_sums(v: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Running sums of ``v`` within consecutive segments of the given sizes.
 
-    def __init__(self, value=None, feature=None, threshold=None, left=None, right=None):
-        self.value = value
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
-def _class_leaf(counts: list[int]) -> int:
-    return counts.index(max(counts))  # first maximum: smallest code
-
-
-def _gini_cut(xs, ys, counts, squares, parent, lo, hi):
-    """Gain and left size of the first cut of largest Gini gain.
-
-    ``xs`` is the node's feature column in sorted order, ``ys`` its labels
-    in the same order, ``counts`` the node's class counts and ``squares``
-    their sum of squares. The left side's sum of squared counts ``sl`` and
-    the sum ``d`` of node counts over its labels give the right side's,
-    ``squares - 2 d + sl``. All three stay exact integers, so the gain is
-    the one a cumulative sum would give.
+    Each segment adds in order from zero, as a loop would (``np.add.reduceat``
+    sums pairwise). Segments whose sizes share a power of two share a
+    zero-padded ``np.cumsum`` matrix, so padding at most doubles the entries.
     """
-    n = len(xs)
-    left = [0] * len(counts)
-    sl = d = 0
-    best, cut, nl = -math.inf, 0, 0
-    for c, a, b in zip(ys, xs, xs[1:]):
-        nl += 1
-        k = left[c]
-        left[c] = k + 1
-        sl += k + k + 1
-        d += counts[c]
-        if a < b and lo <= nl <= hi:
-            nr = n - nl
-            gain = parent - (nl - sl / nl + nr - (squares - d - d + sl) / nr)
-            if gain > best:
-                best, cut = gain, nl
-    return best, cut
-
-
-def _variance_cut(xs, ys, parent, lo, hi):
-    """As ``_gini_cut``, for the variance reduction of a regression tree.
-
-    Prefix sums add in sequence, as ``np.cumsum`` does. A NaN gain from
-    overflow disqualifies the feature, as it does under ``np.argmax``.
-    """
-    n = len(xs)
-    s1 = list(accumulate(ys))
-    s2 = list(accumulate([v * v for v in ys]))
-    t1, t2 = s1[-1], s2[-1]
-    best, cut = -math.inf, 0
-    for nl in range(lo, hi + 1):
-        if xs[nl - 1] < xs[nl]:
-            a1, a2 = s1[nl - 1], s2[nl - 1]
-            b1 = t1 - a1
-            gain = parent - ((a2 - a1 * a1 / nl) + ((t2 - a2) - b1 * b1 / (n - nl)))
-            if gain != gain:
-                return -math.inf, 0
-            if gain > best:
-                best, cut = gain, nl
-    return best, cut
-
-
-def _best_split(cols, y, rows, features, min_leaf, counts, squares, parent):
-    """Best (feature, threshold) over the candidate features, or None.
-
-    ``counts`` holds the node's class counts for a classification tree and
-    is None for a regression tree. Each feature's rows are sorted once,
-    stably, and scanned once; the first feature to beat the running best
-    by more than 1e-12 wins.
-    """
-    lo, hi = min_leaf, len(rows) - min_leaf
-    best_gain = 0.0
-    best = None
-    for f in features:
-        col = cols[f]
-        order = sorted(rows, key=col.__getitem__)
-        xs = list(map(col.__getitem__, order))
-        ys = list(map(y.__getitem__, order))
-        if counts is None:
-            gain, cut = _variance_cut(xs, ys, parent, lo, hi)
-        else:
-            gain, cut = _gini_cut(xs, ys, counts, squares, parent, lo, hi)
-        if gain > best_gain + 1e-12:
-            best_gain = gain
-            a, b = xs[cut - 1], xs[cut]
-            thr = (a + b) / 2.0
-            # between adjacent floats the midpoint can round up to b, where
-            # ``x <= thr`` would leave the right child empty
-            best = (f, thr if thr < b else a)
-    return best
-
-
-def _grow(cols, y, yb, rows, min_leaf, mtry, n_classes, rng):
-    """Grow the subtree over bootstrap positions ``rows``, in their order.
-
-    ``cols`` and ``y`` are the bootstrap sample's feature columns and
-    labels as lists; ``yb`` is the label array, used for the pairwise sums
-    of a regression node. ``n_classes`` is 0 for a regression tree.
-    """
-    n = len(rows)
-    if n_classes:
-        counts = [0] * n_classes
-        for r in rows:
-            counts[y[r]] += 1
-        if n < 2 * min_leaf or max(counts) == n:
-            return _Node(value=_class_leaf(counts))
-        squares = sum(c * c for c in counts)
-        parent = n - squares / n
-    else:
-        counts = squares = None
-        yv = yb[rows]
-        if n < 2 * min_leaf or (yv == yv[0]).all():
-            return _Node(value=float(np.mean(yv)))
-        parent = float(np.sum((yv - yv.mean()) ** 2))
-    features = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
-    split = _best_split(
-        cols, y, rows, features.tolist(), min_leaf, counts, squares, parent
-    )
-    if split is None:
-        return _Node(value=_class_leaf(counts) if n_classes else float(np.mean(yv)))
-    f, thr = split
-    col = cols[f]
-    left = [r for r in rows if col[r] <= thr]
-    right = [r for r in rows if col[r] > thr]
-    return _Node(
-        feature=f,
-        threshold=thr,
-        left=_grow(cols, y, yb, left, min_leaf, mtry, n_classes, rng),
-        right=_grow(cols, y, yb, right, min_leaf, mtry, n_classes, rng),
-    )
-
-
-def _predict_tree(node: _Node, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X))
-    idx = np.arange(len(X))
-    stack = [(node, idx)]
-    while stack:
-        nd, rows = stack.pop()
-        if nd.value is not None:
-            out[rows] = nd.value
-            continue
-        mask = X[rows, nd.feature] <= nd.threshold
-        stack.append((nd.left, rows[mask]))
-        stack.append((nd.right, rows[~mask]))
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    col = np.arange(len(v)) - (np.cumsum(sizes) - sizes)[seg] + 1
+    band = np.frexp(sizes)[1][seg]
+    out = np.empty(len(v))
+    for b in np.unique(band):
+        pick = band == b
+        segs, rows = np.unique(seg[pick], return_inverse=True)
+        pad = np.zeros((len(segs), int(sizes[segs].max()) + 1))
+        pad[rows, col[pick]] = v[pick]
+        out[pick] = np.cumsum(pad, axis=1)[rows, col[pick]]
     return out
 
 
+def _best_splits(X, ranks, ys, boot, rows, sizes, parent, cand, min_leaf, n_classes):
+    """The nodes that split, with their features and thresholds.
+
+    ``rows`` holds the sample ids (as in ``RandomForest._grow``) of the nodes
+    that may split, node after node; ``sizes``, ``parent`` and ``cand`` give
+    their row counts, impurities and candidate features in the order tried.
+    """
+    k, mtry = cand.shape
+    # one entry per (node row, candidate); a segment is a (node, candidate)
+    seg_len = np.repeat(sizes, mtry)
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg = np.repeat(np.arange(k * mtry), seg_len)
+    off = np.arange(len(seg)) - seg_start[seg]
+    sample = rows[np.repeat(np.cumsum(sizes) - sizes, mtry)[seg] + off]
+    key = seg * len(ys) + ranks[boot[sample], cand.ravel()[seg]]
+    order = np.argsort(key, kind="stable")
+    key, sample = key[order], sample[order]
+    nl, nr = off + 1, seg_len[seg] - off - 1
+    valid = (nl >= min_leaf) & (nr >= min_leaf)
+    valid[:-1] &= key[:-1] < key[1:]
+    nl, nr, at = nl[valid], nr[valid], seg[valid]
+    del off, key, order  # entry arrays set the fit's peak memory
+    base = np.repeat(parent, mtry)[at]
+    if n_classes:
+        labels, ends = ys[sample], np.flatnonzero(valid) + 1
+        sl = sr = 0  # sums of squared class counts left and right of a cut
+        for c in range(n_classes):
+            cum = np.concatenate(([0], np.cumsum(labels == c)))
+            before = cum[seg_start[at]]
+            left = cum[ends] - before
+            right = cum[(seg_start + seg_len)[at]] - before - left
+            sl, sr = sl + left * left, sr + right * right
+        del labels, ends, cum, before, left, right
+        gain = base - (nl - sl / nl + nr - sr / nr)
+    else:
+        v = ys[sample]
+        s1, s2 = _running_sums(v, seg_len), _running_sums(v * v, seg_len)
+        ends = (seg_start + seg_len - 1)[at]
+        a1, a2 = s1[valid], s2[valid]
+        b1 = s1[ends] - a1
+        gain = base - ((a2 - a1 * a1 / nl) + ((s2[ends] - a2) - b1 * b1 / nr))
+    scores = np.full(len(seg), -np.inf)
+    scores[valid] = gain
+    best = np.maximum.reduceat(scores, seg_start)  # NaN if a gain is: never picked
+    hit = np.where(scores == best[seg], np.arange(len(seg)), len(seg))
+    cut = np.minimum.reduceat(hit, seg_start)  # first cut of largest gain
+    won, pick = np.zeros(k), np.full(k, -1)
+    for c, gains in enumerate(best.reshape(k, mtry).T):  # a later one must win by 1e-12
+        take = gains > won + 1e-12
+        won = np.where(take, gains, won)
+        pick[take] = c
+    split = np.flatnonzero(pick >= 0)
+    e = cut[split * mtry + pick[split]]
+    feat = cand[split, pick[split]]
+    a, b = X[boot[sample[e]], feat], X[boot[sample[e + 1]], feat]
+    thr = (a + b) / 2.0
+    # between adjacent floats the midpoint can round up to b, where
+    # ``x <= thr`` would leave the right child empty
+    return split, feat, np.where(thr < b, thr, a)
+
+
 class RandomForest:
-    """Bagged trees; vote for classification, average for regression."""
+    """Bagged trees; vote for classification, average for regression.
+
+    After ``fit``, node ``t`` is tree ``t``'s root and every node has a
+    ``_feature`` (-1 at a leaf), ``_threshold`` (rows with ``x <=`` it go
+    left), ``_left``/``_right`` child ids (a leaf points at itself) and a
+    ``_value``: the leaf's class code or mean.
+    """
 
     def __init__(self, config: ForestConfig, classify: bool):
         self.config = config
         self.classify = classify
-        self._trees: list[_Node] = []
+        self._feature: np.ndarray | None = None
         self.oob_error: float = math.nan
         self.n_classes = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray, seed: int) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        # sorting needs a total order, and a class code indexes a count list
+        if X.ndim != 2 or y.ndim != 1:
+            raise DataError(f"forest needs 2-D X and 1-D y, got shapes {X.shape} and {y.shape}")
+        # sorting needs a total order, and a class code indexes a count table
         if np.isnan(X).any():
             raise DataError("forest features contain NaN")
         if np.isnan(y).any():
@@ -225,61 +166,120 @@ class RandomForest:
             raise ConfigError("forest needs at least two training rows")
         cfg = self.config
         mtry = cfg.mtry if cfg.mtry is not None else max(1, math.ceil(math.sqrt(f)))
-        splittable = n >= 2 * cfg.min_leaf
         streams = np.random.SeedSequence(seed).spawn(cfg.trees)
-        oob_votes = (
-            np.zeros((n, self.n_classes)) if self.classify else np.zeros(n)
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+        boot = np.concatenate(
+            [r.integers(0, n, size=n) if n >= 2 * cfg.min_leaf else np.arange(n) for r in rngs]
         )
-        oob_counts = np.zeros(n)
-        self._trees = []
-        for t in range(cfg.trees):
-            rng = np.random.Generator(np.random.PCG64(streams[t]))
-            if splittable:
-                rows = rng.integers(0, n, size=n)
-            else:
-                rows = np.arange(n)  # constant tree: use the exact aggregate
-            Xb, yb = X[rows], y[rows]
-            tree = _grow(
-                Xb.T.tolist(),
-                yb.tolist(),
-                yb,
-                list(range(n)),
-                cfg.min_leaf,
-                mtry,
-                self.n_classes if self.classify else 0,
-                rng,
-            )
-            self._trees.append(tree)
-            oob = np.setdiff1d(np.arange(n), rows, assume_unique=False)
-            if len(oob):
-                pred = _predict_tree(tree, X[oob])
-                if self.classify:
-                    oob_votes[oob, pred.astype(np.int64)] += 1.0
-                else:
-                    oob_votes[oob] += pred
-                oob_counts[oob] += 1.0
-        seen = oob_counts > 0
-        if seen.any():
-            if self.classify:
-                winner = np.argmax(oob_votes[seen], axis=1)
-                self.oob_error = float(np.mean(winner != y[seen]))
-            else:
-                mean_pred = oob_votes[seen] / oob_counts[seen]
-                self.oob_error = float(np.mean((mean_pred - y[seen]) ** 2))
-        else:
+        dense = [np.unique(column, return_inverse=True)[1] for column in X.T]
+        ranks = np.array(dense, dtype=np.int64).reshape(f, n).T  # dense value ranks
+        self._n_features = f
+        with np.errstate(over="ignore", invalid="ignore"):  # huge labels: NaN gains
+            self._grow(X, ranks, y[boot], boot, rngs, min(mtry, f))
+
+        oob = np.ones((cfg.trees, n), dtype=bool)
+        oob[np.repeat(np.arange(cfg.trees), n), boot] = False
+        seen = oob.any(axis=0)
+        combined = self._combine(self._value[self._leaves(X)], oob)[seen]
+        if not seen.any():
             self.oob_error = math.nan
+        elif self.classify:
+            self.oob_error = float(np.mean(np.argmax(combined, axis=1) != y[seen]))
+        else:
+            mean_pred = combined / oob.sum(axis=0)[seen]
+            self.oob_error = float(np.mean((mean_pred - y[seen]) ** 2))
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self.classify:
-            votes = np.zeros((len(X), self.n_classes))
-            for tree in self._trees:
-                pred = _predict_tree(tree, X).astype(np.int64)
-                votes[np.arange(len(X)), pred] += 1.0
-            return np.argmax(votes, axis=1)  # ties: smallest code
-        acc = np.zeros(len(X))
-        for tree in self._trees:
-            acc += _predict_tree(tree, X)
-        return acc / len(self._trees)
+    def _grow(self, X, ranks, ys, boot, rngs, mtry):
+        """Grow every tree from its bootstrap sample, one level at a time.
 
+        Sample id ``i`` is row ``boot[i]`` of ``X`` and ``ranks``, with label
+        ``ys[i]``; tree t's are ids t*n .. t*n + n - 1. A level keeps its nodes'
+        sample ids in ``members``, by node and in bootstrap order in a node.
+        """
+        trees, min_leaf, n_classes = len(rngs), self.config.min_leaf, self.n_classes
+        n = len(ys) // trees
+        members, sizes = np.arange(len(ys)), np.full(trees, n)
+        levels, first = [], 0  # per level: feature, threshold, left, right, value
+        while len(sizes):
+            count, starts = len(sizes), np.cumsum(sizes) - sizes
+            node = np.repeat(np.arange(count), sizes)
+            yv = ys[members]
+            if n_classes:
+                counts = np.bincount(node * n_classes + yv, minlength=count * n_classes)
+                counts = counts.reshape(count, n_classes)
+                value = np.argmax(counts, axis=1).astype(np.float64)  # smallest code
+                may = (sizes >= 2 * min_leaf) & (counts.max(axis=1) < sizes)
+                parent = sizes[may] - (counts[may] ** 2).sum(axis=1) / sizes[may]
+            else:
+                value = _running_sums(yv, sizes)[starts + sizes - 1] / sizes
+                constant = np.maximum.reduceat(yv, starts) == np.minimum.reduceat(yv, starts)
+                may = (sizes >= 2 * min_leaf) & ~constant
+                dev = (yv - value[node])[may[node]]
+                parent = _running_sums(dev * dev, sizes[may])[np.cumsum(sizes[may]) - 1]
+            ids = first + np.arange(count)
+            level = [np.full(count, -1), np.full(count, np.nan), ids, ids.copy(), value]
+            levels.append(level)
+            if not may.any():
+                break
+            per_tree = np.bincount(members[starts[may]] // n, minlength=trees)
+            draws = [rngs[t].random((c, X.shape[1])) for t, c in enumerate(per_tree) if c]
+            cand = np.argsort(np.concatenate(draws), axis=1, kind="stable")[:, :mtry]
+            split, feat, thr = _best_splits(
+                X, ranks, ys, boot, members[may[node]], sizes[may], parent, cand,
+                min_leaf, n_classes,
+            )
+            where, s = np.flatnonzero(may)[split], len(split)
+            first += count
+            level[0][where], level[1][where] = feat, thr
+            level[2][where] = first + 2 * np.arange(s)
+            level[3][where] = level[2][where] + 1
+            split_of = np.full(count, -1)
+            split_of[where] = np.arange(s)
+            inside = split_of[node] >= 0
+            rank, moving = split_of[node[inside]], members[inside]
+            child = 2 * rank + (X[boot[moving], feat[rank]] > thr[rank])
+            members = moving[np.argsort(child, kind="stable")]
+            sizes = np.bincount(child, minlength=2 * s)
+        self._feature, self._threshold, self._left, self._right, self._value = (
+            np.concatenate(parts) for parts in zip(*levels)
+        )
+        self._depth = len(levels) - 1
+
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each row of ``X`` reaches in each tree, shape (trees, rows)."""
+        rows = np.arange(len(X))
+        at = np.repeat(np.arange(self.config.trees)[:, None], len(X), axis=1)
+        for _ in range(self._depth):
+            go_left = X[rows, self._feature[at]] <= self._threshold[at]
+            at = np.where(go_left, self._left[at], self._right[at])
+        return at
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        if self._feature is None:
+            raise ConfigError("forest must be fit before it can predict")
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self._n_features:
+            raise DataError(f"forest fit on {self._n_features} columns got shape {X.shape}")
+        if np.isnan(X).any():
+            raise DataError("forest features contain NaN")
+        combined = self._combine(self._value[self._leaves(X)], None)
+        if self.classify:
+            return np.argmax(combined, axis=1)  # ties: smallest code
+        return combined / self.config.trees
+
+    def _combine(self, values: np.ndarray, use: np.ndarray | None) -> np.ndarray:
+        """Per row, the class votes or the leaf-value sum, tree by tree from zero.
+
+        ``values`` is (trees, rows); only the pairs ``use`` allows count (all if None).
+        """
+        trees, rows = values.shape
+        use = np.ones(values.shape, dtype=bool) if use is None else use
+        if self.classify:
+            (t, r), c = np.nonzero(use), self.n_classes
+            votes = np.bincount(r * c + values[t, r].astype(np.int64), minlength=rows * c)
+            return votes.reshape(rows, c)
+        total = np.zeros(rows)
+        for t in range(trees):
+            total += np.where(use[t], values[t], 0.0)
+        return total

@@ -295,31 +295,39 @@ def brute_assortativity(g: Graph):
     return float((np.mean(x * y) - np.mean(x) * np.mean(y)) / math.sqrt(vx * vy))
 
 
-# ---- bagged CART oracle (per-node numpy search) ---------------------------
+# ---- bagged CART oracle (breadth first, per-node numpy search) -------------
+
+
+def _ref_mean(y):
+    total = 0.0
+    for v in y.tolist():  # in bootstrap order, from zero
+        total += v
+    return total / len(y)
 
 
 def _ref_leaf(y, classify):
     if classify:
         return int(np.argmax(np.bincount(y)))  # smallest code on ties
-    return float(np.mean(y))
+    return _ref_mean(y)
 
 
-def _ref_grow(X, y, min_leaf, mtry, classify, rng):
-    """One tree as nested tuples: ("leaf", value) or (feature, threshold, left, right).
+def _ref_split(X, y, features, min_leaf, classify):
+    """Best (feature, threshold) of one node over its candidates, or None.
 
-    Every candidate feature is sorted by a stable argsort; class counts or
-    label sums come from a cumulative sum over the sorted rows.
+    Every candidate is sorted by a stable argsort; class counts or label
+    sums come from a cumulative sum over the sorted rows. The node's own
+    impurity adds its squared deviations in bootstrap order, from zero.
     """
     n = len(y)
-    if n < 2 * min_leaf or np.all(y == y[0]):
-        return ("leaf", _ref_leaf(y, classify))
-    features = rng.choice(X.shape[1], size=min(mtry, X.shape[1]), replace=False)
     if classify:
         onehot = np.zeros((n, int(y.max()) + 1))
         onehot[np.arange(n), y] = 1.0
         parent = n - float(np.sum(np.bincount(y) ** 2)) / n
     else:
-        parent = float(np.sum((y - y.mean()) ** 2))
+        mean = _ref_mean(y)
+        parent = 0.0
+        for v in y.tolist():
+            parent += (v - mean) * (v - mean)
     best_gain, best = 0.0, None
     for f in features:
         order = np.argsort(X[:, f], kind="stable")
@@ -336,27 +344,62 @@ def _ref_grow(X, y, min_leaf, mtry, classify, rng):
             right = cum[-1] - left
             child = nl - np.sum(left**2, axis=1) / nl + nr - np.sum(right**2, axis=1) / nr
         else:
-            s1 = np.cumsum(y[order])
-            s2 = np.cumsum(y[order] ** 2)
-            a1, a2 = s1[cuts - 1], s2[cuts - 1]
-            child = (a2 - a1**2 / nl) + ((s2[-1] - a2) - (s1[-1] - a1) ** 2 / nr)
-        gains = parent - child
-        k = int(np.argmax(gains))  # first maximum
+            with np.errstate(over="ignore", invalid="ignore"):
+                s1 = np.cumsum(y[order])
+                s2 = np.cumsum(y[order] ** 2)
+                a1, a2 = s1[cuts - 1], s2[cuts - 1]
+                child = (a2 - a1**2 / nl) + ((s2[-1] - a2) - (s1[-1] - a1) ** 2 / nr)
+        with np.errstate(invalid="ignore"):
+            gains = parent - child
+        k = int(np.argmax(gains))  # first maximum; a NaN comes first and fails below
         if gains[k] > best_gain + 1e-12:
             lo, hi = float(xs[cuts[k] - 1]), float(xs[cuts[k]])
             mid = (lo + hi) / 2.0
             best_gain = float(gains[k])
             best = (int(f), mid if mid < hi else lo)  # a midpoint may round up
-    if best is None:
-        return ("leaf", _ref_leaf(y, classify))
-    f, thr = best
-    mask = X[:, f] <= thr
-    return (
-        f,
-        thr,
-        _ref_grow(X[mask], y[mask], min_leaf, mtry, classify, rng),
-        _ref_grow(X[~mask], y[~mask], min_leaf, mtry, classify, rng),
-    )
+    return best
+
+
+def _ref_grow(X, y, min_leaf, mtry, classify, rng):
+    """One tree grown breadth first, as nested tuples.
+
+    A node is ("leaf", value) or (feature, threshold, left, right). Each
+    level draws ``rng.random((k, F))`` for its k nodes that may split, in
+    level order (left child before right); a node's candidates are the
+    ``mtry`` features of smallest uniform, in that order.
+    """
+    F = X.shape[1]
+    root = {"rows": np.arange(len(y))}
+    level = [root]
+    while level:
+        open_nodes = []
+        for node in level:
+            ys = y[node["rows"]]
+            if len(ys) < 2 * min_leaf or np.all(ys == ys[0]):
+                node["tree"] = ("leaf", _ref_leaf(ys, classify))
+            else:
+                open_nodes.append(node)
+        uniforms = rng.random((len(open_nodes), F)) if open_nodes else []
+        level = []
+        for node, u in zip(open_nodes, uniforms):
+            rows = node["rows"]
+            features = np.argsort(u, kind="stable")[: min(mtry, F)]
+            best = _ref_split(X[rows], y[rows], features, min_leaf, classify)
+            if best is None:
+                node["tree"] = ("leaf", _ref_leaf(y[rows], classify))
+                continue
+            f, thr = best
+            mask = X[rows, f] <= thr
+            node["split"] = (f, thr, {"rows": rows[mask]}, {"rows": rows[~mask]})
+            level.extend(node["split"][2:])
+
+    def nested(node):
+        if "tree" in node:
+            return node["tree"]
+        f, thr, left, right = node["split"]
+        return (f, thr, nested(left), nested(right))
+
+    return nested(root)
 
 
 def _ref_predict_row(tree, x):
@@ -367,14 +410,15 @@ def _ref_predict_row(tree, x):
 
 
 def reference_forest(X, y, trees, mtry, min_leaf, classify, seed):
-    """Bagged CART grown by the per-node numpy search, as an oracle.
+    """Bagged CART grown one tree and one node at a time, as an oracle.
 
     Returns ``(trees, predict, oob_error)``: the trees as nested tuples,
     ``predict(X)`` (majority vote with ties to the smallest code, or the
-    mean over trees) and the out-of-bag error (misclassification rate or
-    mean squared error; NaN when no row is ever out of bag). Each tree has
-    its own stream spawned from ``seed``; it draws the bootstrap rows, then
-    ``mtry`` features at each node that may split, depth first, left first.
+    mean over trees, added in tree order) and the out-of-bag error
+    (misclassification rate or mean squared error; NaN when no row is ever
+    out of bag). Each tree has its own stream spawned from ``seed``; it
+    draws the bootstrap rows, then one block of uniforms per level of the
+    tree, breadth first (``_ref_grow``).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64 if classify else np.float64)

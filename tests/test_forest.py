@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergmkit.errors import ConfigError, DataError
@@ -75,7 +76,7 @@ class TestClassification:
         X = np.array([[a], [b], [a], [b]])
         y = np.array([0, 1, 0, 1])
         rf = RandomForest(ForestConfig(trees=8), classify=True).fit(X, y, seed=4)
-        assert all(t.threshold == a for t in rf._trees if t.value is None)
+        assert (rf._threshold[rf._feature >= 0] == a).all()
         assert rf.predict(np.array([[a], [b]])).tolist() == [0, 1]
 
 
@@ -132,11 +133,30 @@ class TestDeterminism:
         b = RandomForest(ForestConfig(trees=5), classify=False).fit(X, y, seed=2)
         assert not np.allclose(a.predict(X), b.predict(X))
 
+    @pytest.mark.parametrize("classify", [True, False])
+    def test_fit_twice_gives_identical_node_arrays(self, classify):
+        X = rng(19).normal(size=(120, 5))
+        y = (X[:, 0] > 0).astype(np.int64) + (X[:, 1] > 1) if classify else X[:, 0] + X[:, 2]
+        config = ForestConfig(trees=12, mtry=2)
+        a = RandomForest(config, classify).fit(X, y, seed=31)
+        b = RandomForest(config, classify).fit(X, y, seed=31)
+        for name in ("_feature", "_threshold", "_left", "_right", "_value"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert repr(a.oob_error) == repr(b.oob_error)
+        assert a.predict(X).tobytes() == b.predict(X).tobytes()
 
-def _tuples(node):
-    if node.value is not None:
-        return ("leaf", node.value)
-    return (int(node.feature), node.threshold, _tuples(node.left), _tuples(node.right))
+
+def _tuples(rf, node):
+    """Tree node ``node`` of a fitted forest and its subtree, as nested tuples."""
+    if rf._feature[node] < 0:
+        value = rf._value[node]
+        return ("leaf", int(value) if rf.classify else float(value))
+    return (
+        int(rf._feature[node]),
+        float(rf._threshold[node]),
+        _tuples(rf, rf._left[node]),
+        _tuples(rf, rf._right[node]),
+    )
 
 
 @st.composite
@@ -167,16 +187,67 @@ def forest_problems(draw):
     return np.array(columns).T, np.array(y), classify, mtry, min_leaf
 
 
+_LINE = np.arange(40.0)
+_DEEP_X = np.column_stack([_LINE, _LINE[::-1] % 7])
+# two features that cut the same rows in different orders: their gains
+# differ by ~1e-14, and the later candidate must not win
+_TIE_X = np.array([[0, 1, 2, 3, 4, 5, 2.5, 7], [2, 1, 0, 5, 4, 3, -1, 9]]).T
+_TIE_Y = np.array([0.1, 0.7, 0.2, 5.3, 5.2, 5.1, 0.3, 5.9])
+# squared labels overflow, so every gain is NaN and no feature qualifies
+_HUGE_Y = np.array([1e200, -1e200, 1e200, -1e200, 1.0, 2.0, 3.0, 4.0])
+
+
 class TestReference:
     @settings(max_examples=200, deadline=None)
     @given(forest_problems(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @example((_DEEP_X, 2.0 ** _LINE, False, None, 1), 2, 3)  # depth 17 and 16
+    @example((_DEEP_X, _LINE.astype(int) % 2, True, None, 1), 2, 3)  # depth 19
+    @example((_TIE_X, _TIE_Y, False, 2, 1), 4, 0)
+    @example((_TIE_X[:, ::-1], _TIE_Y, False, 2, 1), 4, 5)
+    @example((_TIE_X, _HUGE_Y, False, 2, 1), 3, 1)
+    @example((_DEEP_X[:10], _LINE[:10] % 3, True, None, 6), 3, 2)  # min_leaf > n / 2
+    @example((_DEEP_X[:10], _LINE[:10] ** 2, False, 1, 6), 3, 2)
     def test_trees_equal_the_per_node_numpy_search(self, problem, trees, seed):
         X, y, classify, mtry, min_leaf = problem
         rf = RandomForest(ForestConfig(trees=trees, mtry=mtry, min_leaf=min_leaf), classify)
         rf.fit(X, y, seed)
         want, predict, oob_error = reference_forest(X, y, trees, mtry, min_leaf, classify, seed)
-        got = [_tuples(t) for t in rf._trees]
+        got = [_tuples(rf, t) for t in range(trees)]
         assert got == want
         assert repr(got) == repr(want)  # signed zeros too
         assert rf.predict(X).tobytes() == predict(X).tobytes()
         assert repr(rf.oob_error) == repr(oob_error)
+
+
+class TestEdges:
+    def fitted(self):
+        X = rng(20).normal(size=(30, 3))
+        return RandomForest(ForestConfig(trees=4), classify=True).fit(X, X[:, 0] > 0, seed=1)
+
+    def test_predict_before_fit_is_config_error(self):
+        forest = RandomForest(ForestConfig(trees=2), classify=False)
+        with pytest.raises(ConfigError, match="fit"):
+            forest.predict(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "shape", [(5, 4), (5, 2), (5,), (5, 3, 1)], ids=["more", "fewer", "1-D", "3-D"]
+    )
+    def test_predict_with_wrong_columns_is_data_error(self, shape):
+        with pytest.raises(DataError, match=re.escape(str(shape))):
+            self.fitted().predict(np.zeros(shape))
+
+    def test_predict_nan_feature_is_data_error(self):
+        X = np.zeros((4, 3))
+        X[2, 1] = np.nan
+        with pytest.raises(DataError, match="NaN"):
+            self.fitted().predict(X)
+
+    def test_fit_on_1d_features_is_data_error(self):
+        forest = RandomForest(ForestConfig(trees=2), classify=False)
+        with pytest.raises(DataError, match=re.escape("(6,)")):
+            forest.fit(np.arange(6.0), np.arange(6.0), seed=0)
+
+    def test_fit_on_2d_labels_is_data_error(self):
+        forest = RandomForest(ForestConfig(trees=2), classify=True)
+        with pytest.raises(DataError, match=re.escape("(6, 1)")):
+            forest.fit(np.zeros((6, 2)), np.zeros((6, 1)), seed=0)
