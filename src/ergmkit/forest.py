@@ -3,23 +3,24 @@
 Classification trees split on Gini impurity, regression trees on variance
 reduction; mtry candidate features are tried per split. Per-tree random
 streams are spawned from the master seed, so results do not depend on
-training order. When min_leaf rules out any split, bootstrapping is
-skipped and the forest collapses to the exact training aggregate (the
-column mode or mean) instead of a resampled one.
+training order. When min_leaf rules out any split, bootstrapping is skipped
+and the forest collapses to the exact training aggregate (the column mode or
+mean) instead of a resampled one.
 
-All trees grow together, one depth level at a time, with a fixed number of
-numpy calls per level over every node of that level in every tree. Each
-tree's stream draws its bootstrap rows, then at each level one
-``random((k, F))`` block for its k nodes that may split, in level order
-(left child before right). A node tries the mtry features of smallest
-uniform, in that order: a uniform random subset. The split search is one
-stable argsort of (segment, dense value rank) keys over all (node row,
-candidate) entries. Classification scores cuts with exact integer class
-counts; regression with running sums in sorted order, and node means and
-impurities with running sums in bootstrap order, each added in sequence
-from zero. The first cut of largest gain wins within a feature, a NaN gain
-disqualifies the feature, and a later feature must beat the best by 1e-12.
-Trees are flat node arrays, and prediction walks all of them at once.
+Trees grow together, one depth level at a time, with a fixed number of numpy
+calls per level over every node of that level in every tree; past
+``_GROUP_ENTRIES`` (sample, candidate) pairs they grow in groups, which
+bounds memory and changes no tree. Each tree's stream draws its bootstrap
+rows, then at each level one ``random((k, F))`` block for its k nodes that
+may split, in level order (left child before right). A node tries the mtry
+features of smallest uniform, in that order: a uniform random subset. The
+split search is one stable argsort of (segment, dense value rank) keys over
+all (node row, candidate) entries. Classification scores cuts with exact
+integer class counts; regression with running sums in sorted order, and node
+means and impurities with running sums in bootstrap order, each added in
+sequence from zero. The first cut of largest gain wins within a feature, a
+NaN gain disqualifies the feature, and a later feature must beat the best by
+1e-12. Trees are flat node arrays, and prediction walks all of them at once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+
+_GROUP_ENTRIES = 1 << 16  # (sample, candidate) pairs of a tree group: bounds level memory
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def _best_splits(X, ranks, ys, boot, rows, sizes, parent, cand, min_leaf, n_clas
 class RandomForest:
     """Bagged trees; vote for classification, average for regression.
 
-    After ``fit``, node ``t`` is tree ``t``'s root and every node has a
+    After ``fit``, node ``_root[t]`` is tree ``t``'s root and every node has a
     ``_feature`` (-1 at a leaf), ``_threshold`` (rows with ``x <=`` it go
     left), ``_left``/``_right`` child ids (a leaf points at itself) and a
     ``_value``: the leaf's class code or mean.
@@ -164,30 +167,26 @@ class RandomForest:
             raise ConfigError("features and labels must have the same length")
         if n < 2:
             raise ConfigError("forest needs at least two training rows")
-        cfg = self.config
-        mtry = cfg.mtry if cfg.mtry is not None else max(1, math.ceil(math.sqrt(f)))
-        streams = np.random.SeedSequence(seed).spawn(cfg.trees)
-        rngs = [np.random.Generator(np.random.PCG64(s)) for s in streams]
+        cfg, self._n_features = self.config, f
+        mtry = min(f, cfg.mtry or max(1, math.ceil(math.sqrt(f))))
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(cfg.trees)]
         boot = np.concatenate(
             [r.integers(0, n, size=n) if n >= 2 * cfg.min_leaf else np.arange(n) for r in rngs]
         )
         dense = [np.unique(column, return_inverse=True)[1] for column in X.T]
         ranks = np.array(dense, dtype=np.int64).reshape(f, n).T  # dense value ranks
-        self._n_features = f
         with np.errstate(over="ignore", invalid="ignore"):  # huge labels: NaN gains
-            self._grow(X, ranks, y[boot], boot, rngs, min(mtry, f))
+            self._grow(X, ranks, y[boot], boot, rngs, mtry)
 
         oob = np.ones((cfg.trees, n), dtype=bool)
         oob[np.repeat(np.arange(cfg.trees), n), boot] = False
         seen = oob.any(axis=0)
         combined = self._combine(self._value[self._leaves(X)], oob)[seen]
-        if not seen.any():
-            self.oob_error = math.nan
-        elif self.classify:
-            self.oob_error = float(np.mean(np.argmax(combined, axis=1) != y[seen]))
+        if self.classify:
+            loss = np.argmax(combined, axis=1) != y[seen]
         else:
-            mean_pred = combined / oob.sum(axis=0)[seen]
-            self.oob_error = float(np.mean((mean_pred - y[seen]) ** 2))
+            loss = (combined / oob.sum(axis=0)[seen] - y[seen]) ** 2
+        self.oob_error = float(np.mean(loss)) if seen.any() else math.nan
         return self
 
     def _grow(self, X, ranks, ys, boot, rngs, mtry):
@@ -197,60 +196,63 @@ class RandomForest:
         ``ys[i]``; tree t's are ids t*n .. t*n + n - 1. A level keeps its nodes'
         sample ids in ``members``, by node and in bootstrap order in a node.
         """
-        trees, min_leaf, n_classes = len(rngs), self.config.min_leaf, self.n_classes
-        n = len(ys) // trees
-        members, sizes = np.arange(len(ys)), np.full(trees, n)
-        levels, first = [], 0  # per level: feature, threshold, left, right, value
-        while len(sizes):
-            count, starts = len(sizes), np.cumsum(sizes) - sizes
-            node = np.repeat(np.arange(count), sizes)
-            yv = ys[members]
-            if n_classes:
-                counts = np.bincount(node * n_classes + yv, minlength=count * n_classes)
-                counts = counts.reshape(count, n_classes)
-                value = np.argmax(counts, axis=1).astype(np.float64)  # smallest code
-                may = (sizes >= 2 * min_leaf) & (counts.max(axis=1) < sizes)
-                parent = sizes[may] - (counts[may] ** 2).sum(axis=1) / sizes[may]
-            else:
-                value = _running_sums(yv, sizes)[starts + sizes - 1] / sizes
-                constant = np.maximum.reduceat(yv, starts) == np.minimum.reduceat(yv, starts)
-                may = (sizes >= 2 * min_leaf) & ~constant
-                dev = (yv - value[node])[may[node]]
-                parent = _running_sums(dev * dev, sizes[may])[np.cumsum(sizes[may]) - 1]
-            ids = first + np.arange(count)
-            level = [np.full(count, -1), np.full(count, np.nan), ids, ids.copy(), value]
-            levels.append(level)
-            if not may.any():
-                break
-            per_tree = np.bincount(members[starts[may]] // n, minlength=trees)
-            draws = [rngs[t].random((c, X.shape[1])) for t, c in enumerate(per_tree) if c]
-            cand = np.argsort(np.concatenate(draws), axis=1, kind="stable")[:, :mtry]
-            split, feat, thr = _best_splits(
-                X, ranks, ys, boot, members[may[node]], sizes[may], parent, cand,
-                min_leaf, n_classes,
-            )
-            where, s = np.flatnonzero(may)[split], len(split)
-            first += count
-            level[0][where], level[1][where] = feat, thr
-            level[2][where] = first + 2 * np.arange(s)
-            level[3][where] = level[2][where] + 1
-            split_of = np.full(count, -1)
-            split_of[where] = np.arange(s)
-            inside = split_of[node] >= 0
-            rank, moving = split_of[node[inside]], members[inside]
-            child = 2 * rank + (X[boot[moving], feat[rank]] > thr[rank])
-            members = moving[np.argsort(child, kind="stable")]
-            sizes = np.bincount(child, minlength=2 * s)
+        n, min_leaf, n_classes = len(X), self.config.min_leaf, self.n_classes
+        group = max(1, _GROUP_ENTRIES // (n * mtry))  # trees grown together
+        levels, roots, first = [], [], 0  # per level: feature, threshold, left, right, value
+        for g in range(0, len(rngs), group):
+            trees = min(group, len(rngs) - g)
+            members, sizes = g * n + np.arange(trees * n), np.full(trees, n)
+            roots.append(first + np.arange(trees))
+            while True:  # until a level where no node may split
+                count, starts = len(sizes), np.cumsum(sizes) - sizes
+                node = np.repeat(np.arange(count), sizes)
+                yv = ys[members]
+                if n_classes:
+                    counts = np.bincount(node * n_classes + yv, minlength=count * n_classes)
+                    counts = counts.reshape(count, n_classes)
+                    value = np.argmax(counts, axis=1).astype(np.float64)  # smallest code
+                    may = (sizes >= 2 * min_leaf) & (counts.max(axis=1) < sizes)
+                    parent = sizes[may] - (counts[may] ** 2).sum(axis=1) / sizes[may]
+                else:
+                    value = _running_sums(yv, sizes)[starts + sizes - 1] / sizes
+                    constant = np.maximum.reduceat(yv, starts) == np.minimum.reduceat(yv, starts)
+                    may = (sizes >= 2 * min_leaf) & ~constant
+                    dev = (yv - value[node])[may[node]]
+                    parent = _running_sums(dev * dev, sizes[may])[np.cumsum(sizes[may]) - 1]
+                ids = first + np.arange(count)
+                level = [np.full(count, -1), np.full(count, np.nan), ids, ids.copy(), value]
+                levels.append(level)
+                first += count
+                if not may.any():
+                    break
+                per_tree = np.bincount(members[starts[may]] // n - g, minlength=trees)
+                draws = [rngs[g + t].random((c, X.shape[1])) for t, c in enumerate(per_tree) if c]
+                cand = np.argsort(np.concatenate(draws), axis=1, kind="stable")[:, :mtry]
+                split, feat, thr = _best_splits(
+                    X, ranks, ys, boot, members[may[node]], sizes[may], parent, cand,
+                    min_leaf, n_classes,
+                )
+                where, s = np.flatnonzero(may)[split], len(split)
+                level[0][where], level[1][where] = feat, thr
+                level[2][where] = first + 2 * np.arange(s)
+                level[3][where] = level[2][where] + 1
+                split_of = np.full(count, -1)
+                split_of[where] = np.arange(s)
+                inside = split_of[node] >= 0
+                rank, moving = split_of[node[inside]], members[inside]
+                child = 2 * rank + (X[boot[moving], feat[rank]] > thr[rank])
+                members = moving[np.argsort(child, kind="stable")]
+                sizes = np.bincount(child, minlength=2 * s)
         self._feature, self._threshold, self._left, self._right, self._value = (
             np.concatenate(parts) for parts in zip(*levels)
         )
-        self._depth = len(levels) - 1
+        self._root = np.concatenate(roots)
 
     def _leaves(self, X: np.ndarray) -> np.ndarray:
         """The leaf each row of ``X`` reaches in each tree, shape (trees, rows)."""
         rows = np.arange(len(X))
-        at = np.repeat(np.arange(self.config.trees)[:, None], len(X), axis=1)
-        for _ in range(self._depth):
+        at = np.repeat(self._root[:, None], len(X), axis=1)
+        while (self._feature[at] >= 0).any():
             go_left = X[rows, self._feature[at]] <= self._threshold[at]
             at = np.where(go_left, self._left[at], self._right[at])
         return at
@@ -273,13 +275,11 @@ class RandomForest:
 
         ``values`` is (trees, rows); only the pairs ``use`` allows count (all if None).
         """
-        trees, rows = values.shape
         use = np.ones(values.shape, dtype=bool) if use is None else use
         if self.classify:
-            (t, r), c = np.nonzero(use), self.n_classes
-            votes = np.bincount(r * c + values[t, r].astype(np.int64), minlength=rows * c)
-            return votes.reshape(rows, c)
-        total = np.zeros(rows)
-        for t in range(trees):
-            total += np.where(use[t], values[t], 0.0)
+            (t, r), c, n = np.nonzero(use), self.n_classes, values.shape[1]
+            return np.bincount(r * c + values[t, r].astype(int), minlength=n * c).reshape(n, c)
+        total = np.zeros(values.shape[1])
+        for value, counted in zip(values, use):
+            total += np.where(counted, value, 0.0)
         return total

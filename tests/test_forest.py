@@ -118,13 +118,25 @@ class TestDegenerateForest:
 
 
 class TestDeterminism:
-    def test_same_seed_same_predictions(self):
+    def test_same_seed_same_predictions(self, monkeypatch):
+        """Two fits with one seed give identical node arrays, OOB error and
+        prediction bytes, for both kinds; growing one tree per group (a tiny
+        ``_GROUP_ENTRIES``) grows the same trees."""
         X = rng(16).normal(size=(80, 4))
-        y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
-        a = RandomForest(ForestConfig(trees=30), classify=True).fit(X, y, seed=99)
-        b = RandomForest(ForestConfig(trees=30), classify=True).fit(X, y, seed=99)
-        np.testing.assert_array_equal(a.predict(X), b.predict(X))
-        assert a.oob_error == b.oob_error
+        for classify in (True, False):
+            y = (X[:, 0] + X[:, 1] > 0).astype(np.int64) if classify else X[:, 0] + X[:, 2]
+            a, b = (RandomForest(ForestConfig(trees=30), classify).fit(X, y, seed=99) for _ in "ab")
+            for name in ("_feature", "_threshold", "_left", "_right", "_value", "_root"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert repr(a.oob_error) == repr(b.oob_error)
+            assert a.predict(X).tobytes() == b.predict(X).tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr("ergmkit.forest._GROUP_ENTRIES", 1)
+                c = RandomForest(ForestConfig(trees=30), classify).fit(X, y, seed=99)
+            assert len(set(np.diff(c._root))) > 1  # the groups are interleaved
+            assert [_tuples(c, r) for r in c._root] == [_tuples(a, r) for r in a._root]
+            assert repr(c.oob_error) == repr(a.oob_error)
+            assert c.predict(X).tobytes() == a.predict(X).tobytes()
 
     def test_different_seed_differs_somewhere(self):
         X = rng(17).normal(size=(60, 3))
@@ -132,18 +144,6 @@ class TestDeterminism:
         a = RandomForest(ForestConfig(trees=5), classify=False).fit(X, y, seed=1)
         b = RandomForest(ForestConfig(trees=5), classify=False).fit(X, y, seed=2)
         assert not np.allclose(a.predict(X), b.predict(X))
-
-    @pytest.mark.parametrize("classify", [True, False])
-    def test_fit_twice_gives_identical_node_arrays(self, classify):
-        X = rng(19).normal(size=(120, 5))
-        y = (X[:, 0] > 0).astype(np.int64) + (X[:, 1] > 1) if classify else X[:, 0] + X[:, 2]
-        config = ForestConfig(trees=12, mtry=2)
-        a = RandomForest(config, classify).fit(X, y, seed=31)
-        b = RandomForest(config, classify).fit(X, y, seed=31)
-        for name in ("_feature", "_threshold", "_left", "_right", "_value"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert repr(a.oob_error) == repr(b.oob_error)
-        assert a.predict(X).tobytes() == b.predict(X).tobytes()
 
 
 def _tuples(rf, node):
@@ -212,7 +212,7 @@ class TestReference:
         rf = RandomForest(ForestConfig(trees=trees, mtry=mtry, min_leaf=min_leaf), classify)
         rf.fit(X, y, seed)
         want, predict, oob_error = reference_forest(X, y, trees, mtry, min_leaf, classify, seed)
-        got = [_tuples(rf, t) for t in range(trees)]
+        got = [_tuples(rf, root) for root in rf._root]
         assert got == want
         assert repr(got) == repr(want)  # signed zeros too
         assert rf.predict(X).tobytes() == predict(X).tobytes()
