@@ -20,7 +20,7 @@ integer class counts; regression with running sums in sorted order, and node
 means and impurities with running sums in bootstrap order, each added in
 sequence from zero. The first cut of largest gain wins within a feature, a
 NaN gain disqualifies the feature, and a later feature must beat the best by
-1e-12. Trees are flat node arrays, and prediction walks all of them at once.
+1e-12. Trees are flat node arrays; prediction walks the trees of a group at once.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ class RandomForest:
     After ``fit``, node ``_root[t]`` is tree ``t``'s root and every node has a
     ``_feature`` (-1 at a leaf), ``_threshold`` (rows with ``x <=`` it go
     left), ``_left``/``_right`` child ids (a leaf points at itself) and a
-    ``_value``: the leaf's class code or mean.
+    ``_value``: the leaf's class code or mean. Trees ``_group`` at a time
+    grew together, and are walked together.
     """
 
     def __init__(self, config: ForestConfig, classify: bool):
@@ -181,7 +182,7 @@ class RandomForest:
         oob = np.ones((cfg.trees, n), dtype=bool)
         oob[np.repeat(np.arange(cfg.trees), n), boot] = False
         seen = oob.any(axis=0)
-        combined = self._combine(self._value[self._leaves(X)], oob)[seen]
+        combined = self._combine(X, oob)[seen]
         if self.classify:
             loss = np.argmax(combined, axis=1) != y[seen]
         else:
@@ -197,7 +198,7 @@ class RandomForest:
         sample ids in ``members``, by node and in bootstrap order in a node.
         """
         n, min_leaf, n_classes = len(X), self.config.min_leaf, self.n_classes
-        group = max(1, _GROUP_ENTRIES // (n * mtry))  # trees grown together
+        group = self._group = max(1, _GROUP_ENTRIES // (n * mtry))  # trees grown together
         levels, roots, first = [], [], 0  # per level: feature, threshold, left, right, value
         for g in range(0, len(rngs), group):
             trees = min(group, len(rngs) - g)
@@ -248,10 +249,10 @@ class RandomForest:
         )
         self._root = np.concatenate(roots)
 
-    def _leaves(self, X: np.ndarray) -> np.ndarray:
-        """The leaf each row of ``X`` reaches in each tree, shape (trees, rows)."""
+    def _leaves(self, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """The leaf each row of ``X`` reaches in each tree of ``roots``, shape (trees, rows)."""
         rows = np.arange(len(X))
-        at = np.repeat(self._root[:, None], len(X), axis=1)
+        at = np.repeat(roots[:, None], len(X), axis=1)
         while (self._feature[at] >= 0).any():
             go_left = X[rows, self._feature[at]] <= self._threshold[at]
             at = np.where(go_left, self._left[at], self._right[at])
@@ -265,21 +266,26 @@ class RandomForest:
             raise DataError(f"forest fit on {self._n_features} columns got shape {X.shape}")
         if np.isnan(X).any():
             raise DataError("forest features contain NaN")
-        combined = self._combine(self._value[self._leaves(X)], None)
+        combined = self._combine(X, None)
         if self.classify:
             return np.argmax(combined, axis=1)  # ties: smallest code
         return combined / self.config.trees
 
-    def _combine(self, values: np.ndarray, use: np.ndarray | None) -> np.ndarray:
-        """Per row, the class votes or the leaf-value sum, tree by tree from zero.
+    def _combine(self, X: np.ndarray, use: np.ndarray | None) -> np.ndarray:
+        """Per row of ``X``, the class votes or the leaf-value sum, tree by tree from zero.
 
-        ``values`` is (trees, rows); only the pairs ``use`` allows count (all if None).
+        Only the (tree, row) pairs ``use`` allows count (all if None). The
+        trees are walked in ``_grow``'s groups, which bounds the walk's memory.
         """
-        use = np.ones(values.shape, dtype=bool) if use is None else use
-        if self.classify:
-            (t, r), c, n = np.nonzero(use), self.n_classes, values.shape[1]
-            return np.bincount(r * c + values[t, r].astype(int), minlength=n * c).reshape(n, c)
-        total = np.zeros(values.shape[1])
-        for value, counted in zip(values, use):
-            total += np.where(counted, value, 0.0)
+        n, c = len(X), self.n_classes
+        total = np.zeros((n, c), dtype=np.int64) if self.classify else np.zeros(n)
+        for g in range(0, len(self._root), self._group):
+            values = self._value[self._leaves(X, self._root[g : g + self._group])]
+            counted = np.ones(values.shape, dtype=bool) if use is None else use[g : g + self._group]
+            if self.classify:
+                t, r = np.nonzero(counted)
+                total += np.bincount(r * c + values[t, r].astype(int), minlength=n * c).reshape(n, c)
+            else:
+                for value, ok in zip(values, counted):
+                    total += np.where(ok, value, 0.0)
         return total

@@ -369,9 +369,17 @@ def dyad_list(n: int) -> np.ndarray:
 
 
 def dyad_endpoints(n: int, d: np.ndarray) -> np.ndarray:
-    """Endpoints (i, j), i < j, of lexicographic dyad positions as a (len(d), 2) array."""
+    """Endpoints (i, j), i < j, of lexicographic dyad positions as a (len(d), 2) array.
+
+    Row i starts at f(i) = i(2n-1-i)/2, and i is the largest with f(i) <= d:
+    the floor of the smaller root of i^2 - (2n-1)i + 2d = 0. For n up to
+    1.5e9 the int64 discriminant is exact, and it lies between the squares
+    of the integers 2n-1-2i and 2n-1-2(i+1), whose correctly rounded square
+    roots are those integers. So the float64 root lies in [i, i + 1], and
+    one step down against f makes its floor exact.
+    """
     d = np.asarray(d, dtype=np.int64)
-    i = np.arange(n)
-    first = i * n - i * (i + 1) // 2  # position of dyad (i, i + 1)
-    i = np.searchsorted(first, d, side="right") - 1
-    return np.column_stack([i, d - first[i] + i + 1])
+    m = 2 * n - 1
+    i = ((m - np.sqrt(m * m - 8 * d)) / 2).astype(np.int64)  # the root is >= 0
+    i -= d < i * (m - i) >> 1
+    return np.column_stack([i, d - (i * (m - i) >> 1) + i + 1])

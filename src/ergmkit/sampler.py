@@ -36,16 +36,25 @@ which fixes the bit stream for golden tests. One chain is single threaded;
 run independent chains with distinct seeds for parallelism.
 
 Most proposals on a sparse graph are adds whose uniform is far above any
-acceptance probability the add could have, whatever the degrees. Each
-block of draws is screened in numpy first: per block, exp of an upper
-bound on an add's log-odds (``ChainState.add_thresholds``) is a uniform at
-or above which the rule rejects every add. A proposal runs the rule only
-if its dyad is tied at the start of the block or some proposal of that
-dyad in the block drew a uniform below the threshold. Every skipped
-proposal is an add the rule rejects: its dyad was off at block start and
-could only have been toggled on at an unskipped proposal of the same dyad.
-So the unskipped proposals, run in order, give the same chain bit for bit,
-and the stream, the acceptance rule and the statistics are unchanged.
+acceptance probability the add could have, whatever the degrees. Per block
+of the compiled model, ``ChainState.add_thresholds`` gives a threshold
+t_b = exp(min(L_b, 0)) * (1 + 1e-12), where L_b bounds the log-odds
+``eta[b] + theta_gw * gw`` of every dyad of the block from above, also in
+rounded arithmetic: the rounded ``+`` and ``*`` are monotone. Call a
+proposal whose uniform is at or above its block's threshold a miss. A miss
+always leaves its dyad off. If the dyad is off, the miss is an add whose
+acceptance probability is at most exp(L_b) <= u, and the rule rejects it.
+If the dyad is on, u < 1 puts t_b below 1, so L_b < 0, the removal's
+log-odds is at least -L_b > 0, and the rule accepts it. So within a block
+of draws only three kinds of proposal can change the chain: a hit (a
+uniform below the threshold), the block's first proposal of a dyad that
+was tied at the start of the block, and the next proposal of a dyad after
+one of its hits. Every other proposal is a miss of a dyad that the
+previous miss of that dyad in the block left off, or that was off at the
+start of the block, and so is a rejected add. ``_screen`` picks exactly
+those three kinds in numpy, and ``sample`` runs them in order, so the
+chain, its draws, its statistics and the PCG64 stream are those of running
+every proposal, bit for bit.
 """
 
 from __future__ import annotations
@@ -143,6 +152,8 @@ class ChainState:
         ``u >= exp(L)`` suffices when L < 0; the factor 1 + 1e-12 covers
         exp's sub-ulp error. ``fmin`` maps L >= 0, and a NaN L from
         overflowing terms, to a threshold above 1 that no uniform reaches.
+        So a threshold a uniform can reach has L < 0, and there a removal's
+        log-odds, the add's negated, is positive: the rule accepts it.
         """
         w = max(self.wdiff) if self.theta_gw >= 0 else min(self.wdiff)
         bound = np.array(self.eta) + self.theta_gw * (w + w)
@@ -169,6 +180,39 @@ def _revalidated(cm: CompiledModel, draw: np.ndarray, stats: np.ndarray, tol: fl
     return fresh
 
 
+def _screen(
+    ds: np.ndarray, us: np.ndarray, flags: np.ndarray, blocks: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Sorted positions of the proposals of a block of draws that can change the chain.
+
+    ``ds`` and ``us`` are the block's proposal dyads and uniforms, ``flags``
+    holds one byte per dyad whose bit 0 is its tie at the start of the block,
+    ``blocks`` the dyads' level-pair blocks and ``thresholds`` the per-block
+    ``ChainState.add_thresholds``. A position is kept if it is a hit (its
+    uniform is below its block's threshold), the block's first proposal of a
+    dyad tied at the start, or the next proposal of a dyad after a hit. Bit 1
+    of ``flags`` marks the dyads with a hit while their proposals are
+    gathered and is cleared again, so ``flags`` is left as it was given.
+    """
+    low = np.flatnonzero(us < thresholds.max())
+    hit = low[us[low] < thresholds[blocks[ds[low]]]]
+    marked = ds[hit]
+    flags[marked] |= 2
+    seen = flags[ds]
+    flags[marked] &= 1
+    cand = np.flatnonzero(seen != 0)
+    # (dyad, position) keys order the candidates by dyad, by position within one
+    shift = len(ds).bit_length()
+    key = np.sort(ds[cand] << shift | cand)
+    dyad, at = key >> shift, key & ((1 << shift) - 1)
+    hits = us[at] < thresholds[blocks[dyad]]
+    first = np.ones(len(at), dtype=np.bool_)
+    first[1:] = dyad[1:] != dyad[:-1]
+    keep = hits | (first & ((seen[at] & 1) == 1))
+    keep[1:] |= hits[:-1] & ~first[1:]
+    return np.sort(at[keep])
+
+
 def sample(
     g0: Graph,
     theta: np.ndarray,
@@ -187,11 +231,9 @@ def sample(
     int64 array of its tied dyads' lexicographic positions. Fully
     determined by inputs + seed.
 
-    Proposals that cannot change the chain are skipped unseen: an add of a
-    dyad that is off at the start of its block of draws, when no proposal
-    of that dyad in the block drew a uniform below its block's threshold.
-    The rule rejects each of them, so the retained statistics and draws
-    are those of running every proposal.
+    Only the proposals ``_screen`` keeps run the rule; every other one is
+    an add the rule rejects, so the retained statistics and draws are those
+    of running every proposal.
     """
     state = ChainState(g0, theta, model, attrs)
     burn, thin = cfg.resolve(g0.n)
@@ -199,10 +241,10 @@ def sample(
     total = cfg.proposals(g0.n)
     retained_stats = np.empty((cfg.sample_count, state.cm.p))
     draws: list[np.ndarray] = []
-    blocks, bits, deg, eta, ties = state.blocks, state.bits, state.deg, state.eta, state.ties
-    wdiff, theta_gw, exp = state.wdiff, state.theta_gw, math.exp
-    threshold = state.add_thresholds()[blocks]
-    marked = np.zeros(state.D, dtype=np.bool_)
+    n, blocks, bits, deg, eta, ties = state.n, state.blocks, state.bits, state.deg, state.eta, state.ties
+    wdiff, theta_gw, gw_stat, exp = state.wdiff, state.theta_gw, state.gw, math.exp
+    flags = np.frombuffer(bits, dtype=np.uint8)
+    thresholds = state.add_thresholds()
     done = 0
     next_retain = burn + thin
     kept = 0
@@ -210,35 +252,43 @@ def sample(
         block = min(_BLOCK, total - done)
         ds = rng.integers(0, state.D, size=block)
         us = rng.random(block)
-        # Only a dyad tied at block start, or one with some uniform below its
-        # threshold in this block, can change in this block: every other
-        # proposal is an add the rule rejects, so it is skipped.
-        hit = ds[us < threshold[ds]]
-        marked[hit] = True
-        visit = np.flatnonzero(marked[ds] | state.tied[ds])
-        marked[hit] = False
-        # retentions fall after these local proposal counts; segment k runs
-        # the visited proposals made before retention k, the last one the rest
-        retain_at = np.arange(next_retain - done, block + 1, thin)
-        retains = len(retain_at)
-        sizes = np.diff(np.searchsorted(visit, retain_at), prepend=0, append=len(visit)).tolist()
-        dv = ds[visit]
-        i_v, j_v = dyad_endpoints(state.n, dv).T.tolist()
-        proposals = zip(dv.tolist(), i_v, j_v, blocks[dv].tolist(), us[visit].tolist())
-        for k, size in enumerate(sizes):
-            for d, i, j, b, u in islice(proposals, size):
-                bit = bits[d]
-                sign = 1 - 2 * bit
-                # gwdegree change at the endpoint degrees with the dyad absent
-                gw = wdiff[deg[i] - bit] + wdiff[deg[j] - bit]
-                logodds = sign * (eta[b] + theta_gw * gw)
-                if not (logodds < 0.0 and u >= exp(logodds)):
-                    bits[d] = 1 - bit
-                    ties[b] += sign
-                    deg[i] += sign
-                    deg[j] += sign
-                    state.gw += sign * gw
+        at = _screen(ds, us, flags, blocks, thresholds)
+        dv = ds[at]
+        i_v, j_v = dyad_endpoints(n, dv).T.tolist()
+        proposals = zip(dv.tolist(), i_v, j_v, blocks[dv].tolist(), us[at].tolist())
+        # the kept proposals made before each retention in this block, then all
+        ends = []
+        if next_retain - done <= block:
+            ends = np.searchsorted(at, np.arange(next_retain - done, block + 1, thin)).tolist()
+        retains = len(ends)
+        ends.append(len(at))
+        ran = 0
+        for k, end in enumerate(ends):
+            for d, i, j, b, u in islice(proposals, end - ran):
+                # gw is the gwdegree change at the endpoint degrees without the
+                # dyad. Adds and removals take separate branches, which spares a
+                # sign per proposal; a removal's log-odds is the add's, negated.
+                if bits[d]:
+                    gw = wdiff[deg[i] - 1] + wdiff[deg[j] - 1]
+                    logodds = -(eta[b] + theta_gw * gw)
+                    if not (logodds < 0.0 and u >= exp(logodds)):
+                        bits[d] = 0
+                        ties[b] -= 1
+                        deg[i] -= 1
+                        deg[j] -= 1
+                        gw_stat -= gw
+                else:
+                    gw = wdiff[deg[i]] + wdiff[deg[j]]
+                    logodds = eta[b] + theta_gw * gw
+                    if not (logodds < 0.0 and u >= exp(logodds)):
+                        bits[d] = 1
+                        ties[b] += 1
+                        deg[i] += 1
+                        deg[j] += 1
+                        gw_stat += gw
+            ran = end
             if k < retains:
+                state.gw = gw_stat
                 retained_stats[kept] = state.statistics()
                 draws.append(state.tied.nonzero()[0])
                 kept += 1

@@ -481,7 +481,8 @@ def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed):
     gwdegree statistic, and reads a retained sample's statistics off them
     after every ``thin`` proposals past ``burn_in``. Returns the retained
     draws, each the sorted int64 positions of its tied dyads in
-    ``all_dyads`` order, and statistics.
+    ``all_dyads`` order, the statistics, and the positions in the stream of
+    the proposals it accepted, counted from 0.
     """
     cm = CompiledModel(model, attrs, g0.n)
     theta = np.asarray(theta, dtype=np.float64)
@@ -507,7 +508,7 @@ def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed):
 
     total = burn_in + thin * sample_count
     rng = np.random.Generator(np.random.PCG64(seed))
-    stats, draws = [], []
+    stats, draws, accepted = [], [], []
     made = 0
     while made < total:
         size = min(1 << 15, total - made)
@@ -526,11 +527,12 @@ def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed):
                 degree[j] += sign
                 if wdiff is not None:
                     gw_stat += sign * change
+                accepted.append(made)
             made += 1
             if made > burn_in and (made - burn_in) % thin == 0:
                 stats.append(statistics())
                 draws.append(np.array([k for k in range(len(dyads)) if tie[k]], dtype=np.int64))
-    return draws, np.array(stats).reshape(sample_count, cm.p)
+    return draws, np.array(stats).reshape(sample_count, cm.p), accepted
 
 
 # ---- attribute builders ---------------------------------------------------

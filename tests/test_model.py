@@ -25,6 +25,7 @@ from ergmkit.model import (
     NodeMatch,
     NodeMix,
     change_statistics,
+    dyad_endpoints,
     dyad_index,
     dyad_list,
     read_term,
@@ -344,6 +345,20 @@ class TestDesignMatrix:
             assert hit.sum() == 1
             held += hit
         np.testing.assert_array_equal(held, trials)
+
+
+class TestDyadEndpoints:
+    @pytest.mark.parametrize("n", [2, 3, 12, 1000, 46_341, 10**6, 94_906_267, 10**9, 1_500_000_000])
+    def test_positions_around_row_starts(self, n):
+        # the closed form's float root is closest to a wrong row at row edges
+        i = np.unique(np.r_[0, n - 2, np.random.default_rng(n).integers(0, n - 1, 100)])
+        start, count = i * n - i * (i + 1) // 2, n * (n - 1) // 2
+        d = np.unique(np.r_[start - 1, start, start + 1, count - 1])
+        d = d[(d >= 0) & (d < count)]
+        got = dyad_endpoints(n, d)
+        assert got.dtype == np.int64
+        for (a, b), pos in zip(got.tolist(), d.tolist()):
+            assert 0 <= a < b < n and dyad_index(n, a, b) == pos
 
 
 class TestSerialization:

@@ -13,7 +13,9 @@ from ergmkit.exact import exact_distribution, exact_expected_stats, graph_bitmas
 from ergmkit.graph import Graph
 from ergmkit.model import Edges, GwDegree, ModelSpec, NodeMatch, statistics
 from ergmkit.sampler import (
+    ChainState,
     SamplerConfig,
+    _screen,
     sample,
     simulate,
     simulation_counters,
@@ -210,6 +212,19 @@ def chain_controls(draw):
     return (1 + thin * kept // BLOCK) * BLOCK - thin * kept, thin, count
 
 
+def chain_model(n, match, gw, theta):
+    """Two-level attributes, edges (+ nodematch) (+ gwdegree) and its theta."""
+    attrs = two_level_attrs(n, n // 2)
+    terms, values = [Edges()], [theta[0]]
+    if match:
+        terms.append(NodeMatch("grp", differential=False))
+        values.append(theta[1])
+    if gw:
+        terms.append(GwDegree(0.5))
+        values.append(theta[2])
+    return attrs, ModelSpec(terms), np.array(values)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 30),
@@ -228,23 +243,60 @@ def chain_controls(draw):
          controls=(100, 7, 5), seed=2)
 @example(n=9, start="random", match=False, gw=True, theta=(-1.0, 0.0, 0.5),
          controls=(BLOCK - 40, 1, 60), seed=3)
+# mixed-sign blocks: the within-group bound is >= 0, the between-group one < 0
+@example(n=8, start="random", match=True, gw=True, theta=(-1.0, 2.5, 0.4),
+         controls=(BLOCK - 300, 23, 40), seed=4)
+@example(n=8, start="random", match=True, gw=True, theta=(-1.0, 2.5, -0.6),
+         controls=(2 * BLOCK - 5, 3, 9), seed=5)
+@example(n=7, start="complete", match=True, gw=False, theta=(-50.0, 1.0, 0.0),
+         controls=(0, 1, 40), seed=6)
 def test_sample_equals_reference_chain(n, start, match, gw, theta, controls, seed):
-    attrs = two_level_attrs(n, n // 2)
-    terms, values = [Edges()], [theta[0]]
-    if match:
-        terms.append(NodeMatch("grp", differential=False))
-        values.append(theta[1])
-    if gw:
-        terms.append(GwDegree(0.5))
-        values.append(theta[2])
-    model, values = ModelSpec(terms), np.array(values)
+    attrs, model, values = chain_model(n, match, gw, theta)
     g0 = random_graph(n, {"empty": 0.0, "random": 0.3, "complete": 1.0}[start], seed % 1000)
     burn, thin, count = controls
     draws, stats = sample(g0, values, model, attrs, SamplerConfig(burn, thin, count, seed))
-    want_draws, want_stats = reference_chain(g0, values, model, attrs, burn, thin, count, seed)
+    want_draws, want_stats, _ = reference_chain(g0, values, model, attrs, burn, thin, count, seed)
     assert np.array_equal(stats, want_stats)
     assert all(d.dtype == np.int64 for d in draws)
     assert [d.tolist() for d in draws] == [d.tolist() for d in want_draws]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    start=st.sampled_from(["empty", "random", "complete"]),
+    gw=st.booleans(),
+    # edges < 0 and nodematch > 0 often put one block's bound >= 0, the other's < 0
+    theta=st.tuples(st.floats(-6.0, 1.0), st.floats(-1.0, 7.0), st.floats(-3.0, 3.0)),
+    extra=st.integers(0, BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, start="random", gw=True, theta=(-1.0, 2.5, 0.4), extra=500, seed=7)
+@example(n=8, start="random", gw=True, theta=(-1.0, 2.5, -0.6), extra=500, seed=8)
+@example(n=3, start="complete", gw=False, theta=(-50.0, 0.0, 0.0), extra=0, seed=9)
+def test_screen_keeps_every_accepted_proposal(n, start, gw, theta, extra, seed):
+    """Per block of draws, every proposal the reference chain accepts is one
+    ``_screen`` keeps, given the ties at the start of the block."""
+    attrs, model, values = chain_model(n, True, gw, theta)
+    g0 = random_graph(n, {"empty": 0.0, "random": 0.4, "complete": 1.0}[start], seed % 1000)
+    burn = BLOCK + extra  # two blocks of draws: the second starts from the chain's ties
+    _, _, accepted = reference_chain(g0, values, model, attrs, burn, 1, 1, seed)
+    state = ChainState(g0, values, model, attrs)
+    thresholds = state.add_thresholds()
+    flags = np.frombuffer(bytearray(state.bits), dtype=np.uint8)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    accepted = np.array(accepted, dtype=np.int64)
+    for start_at in range(0, burn + 1, BLOCK):
+        size = min(BLOCK, burn + 1 - start_at)
+        ds = rng.integers(0, len(flags), size=size)
+        us = rng.random(size)
+        before = flags.copy()
+        kept = _screen(ds, us, flags, state.blocks, thresholds)
+        assert np.array_equal(flags, before)
+        assert np.all(np.diff(kept) > 0)
+        here = accepted[(accepted >= start_at) & (accepted < start_at + size)] - start_at
+        assert np.isin(here, kept).all()
+        np.bitwise_xor.at(flags, ds[here], 1)  # the ties at the next block's start
 
 
 class TestSimulate:
