@@ -3,14 +3,11 @@
 from .graph import (
     AttributeTable,
     CategoricalColumn,
-    ComponentLabeling,
     ContinuousColumn,
     Graph,
     categorical,
-    connected_components,
     continuous,
     largest_connected_component,
-    load_graph,
 )
 from .model import (
     Edges,
@@ -19,13 +16,12 @@ from .model import (
     NodeFactor,
     NodeMatch,
     NodeMix,
-    change_statistics,
     dyad_endpoints,
     statistics,
 )
-from .netstats import NetworkSummary, network_summary
+from .netstats import network_summary
 from .sampler import SamplerConfig, sample
-from .fit import FitResult, fit_mcmle, fit_mple, gof, or_table, screen_univariate
+from .fit import FitResult, fit_mcmle, fit_mple, gof, screen_univariate
 from .forest import ForestConfig
 from .imputation import ImputationResult, MissingnessMask, impute_missforest, impute_psm
 
@@ -34,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributeTable",
     "CategoricalColumn",
-    "ComponentLabeling",
     "ContinuousColumn",
     "Edges",
     "FitResult",
@@ -44,14 +39,11 @@ __all__ = [
     "ImputationResult",
     "MissingnessMask",
     "ModelSpec",
-    "NetworkSummary",
     "NodeFactor",
     "NodeMatch",
     "NodeMix",
     "SamplerConfig",
     "categorical",
-    "change_statistics",
-    "connected_components",
     "continuous",
     "dyad_endpoints",
     "fit_mcmle",
@@ -60,9 +52,7 @@ __all__ = [
     "impute_missforest",
     "impute_psm",
     "largest_connected_component",
-    "load_graph",
     "network_summary",
-    "or_table",
     "sample",
     "screen_univariate",
     "statistics",

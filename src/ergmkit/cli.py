@@ -15,6 +15,7 @@ from pathlib import Path
 from .dataio import (
     load_network,
     load_schema,
+    read_attribute_csv,
     read_edge_csv,
     write_attribute_csv,
     write_edge_csv,
@@ -36,8 +37,6 @@ def _load_stats_graph(args) -> Graph:
             if line.strip()
         ]
     elif args.attributes:
-        from .dataio import read_attribute_csv
-
         ids, _ = read_attribute_csv(args.attributes)
     else:
         ids = list(dict.fromkeys(v for pair in pairs for v in pair))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HullBoundary, NonConvergence, TooLarge
 from .graph import AttributeTable, Graph
-from .model import CompiledModel, ModelSpec, dyad_index, dyad_list
+from .model import CompiledModel, ModelSpec, dyad_endpoints, dyad_index
 
 MAX_EXACT_NODES = 6
 _MLE_TOL = 1e-10
@@ -25,8 +25,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
     """All simple graphs on n labeled nodes, ordered by edge-set bitmask."""
     if n > MAX_EXACT_NODES:
         raise TooLarge(f"exact enumeration capped at n = {MAX_EXACT_NODES}")
-    dyads = dyad_list(n)
-    D = len(dyads)
+    D = n * (n - 1) // 2
+    dyads = dyad_endpoints(n, np.arange(D))
     out = []
     for mask in range(1 << D):
         edges = [tuple(dyads[d]) for d in range(D) if mask >> d & 1]

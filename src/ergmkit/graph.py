@@ -7,12 +7,12 @@ its own private mutable adjacency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyGraph, SelfLoop, UnknownNodeId
+from .errors import DataError, EmptyGraph, SelfLoop, UnknownNodeId
 
 MISSING_CODE = -1  # categorical missing sentinel, never a valid level index
 
@@ -58,9 +58,6 @@ class Graph:
         """Degree sequence; entry i is the degree of node i."""
         return self._degrees
 
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
     def neighbors(self, i: int) -> frozenset[int]:
         return self._adj[i]
 
@@ -72,12 +69,6 @@ class Graph:
         if not self._edges:
             return np.empty((0, 2), dtype=np.int64)
         return np.array(sorted(self._edges), dtype=np.int64)
-
-    def with_edge(self, i: int, j: int) -> "Graph":
-        return Graph(self.n, self._edges | {(min(i, j), max(i, j))})
-
-    def without_edge(self, i: int, j: int) -> "Graph":
-        return Graph(self.n, self._edges - {(min(i, j), max(i, j))})
 
     def __eq__(self, other) -> bool:
         return (
@@ -254,39 +245,23 @@ class AttributeTable:
         return f"AttributeTable(n={self.n}, columns={list(self.names)})"
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected component id per node plus component sizes."""
-
-    labels: np.ndarray
-    sizes: np.ndarray
-
-    component_count: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "component_count", len(self.sizes))
-
-
-def connected_components(g: Graph) -> ComponentLabeling:
-    """Label components by breadth-first search in node-index order."""
+def connected_components(g: Graph) -> np.ndarray:
+    """Component label of every node, numbered by search in node-index order."""
     labels = np.full(g.n, -1, dtype=np.int64)
-    sizes = []
+    comp = 0
     for start in range(g.n):
         if labels[start] >= 0:
             continue
-        comp = len(sizes)
         queue = [start]
         labels[start] = comp
-        count = 0
         while queue:
             u = queue.pop()
-            count += 1
             for v in g.neighbors(u):
                 if labels[v] < 0:
                     labels[v] = comp
                     queue.append(v)
-        sizes.append(count)
-    return ComponentLabeling(labels, np.array(sizes, dtype=np.int64))
+        comp += 1
+    return labels
 
 
 def induced_subgraph(g: Graph, keep: np.ndarray) -> Graph:
@@ -310,12 +285,11 @@ def largest_connected_component(
         raise EmptyGraph("cannot take the largest component of an empty graph")
     if attrs is not None and attrs.n != g.n:
         raise ValueError("attribute table does not match graph size")
-    labeling = connected_components(g)
-    best = np.flatnonzero(labeling.sizes == labeling.sizes.max())
-    # labels are assigned in node-index order, so the smallest label among
-    # the tied components is the one containing the smallest node id
-    chosen = int(best.min())
-    keep = np.flatnonzero(labeling.labels == chosen)
+    labels = connected_components(g)
+    sizes = np.bincount(labels)
+    # labels are assigned in node-index order and argmax takes the first
+    # largest, so a tie goes to the component holding the smallest node id
+    keep = np.flatnonzero(labels == int(np.argmax(sizes)))
     sub = induced_subgraph(g, keep)
     sub_attrs = attrs.subset(keep) if attrs is not None else None
     return sub, sub_attrs, keep
@@ -330,9 +304,11 @@ def load_graph(
     Duplicate and reversed pairs collapse to one edge.
     """
     ids = list(node_ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError("node ids must be unique")
-    index = {v: k for k, v in enumerate(ids)}
+    index: dict[str, int] = {}
+    for k, v in enumerate(ids):
+        if v in index:
+            raise DataError(f"node id {v!r} appears more than once")
+        index[v] = k
     pairs = []
     for a, b in edge_list:
         if a not in index:

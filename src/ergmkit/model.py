@@ -1,26 +1,25 @@
-"""ERGM terms, sufficient statistics, and per-dyad change statistics.
+"""ERGM terms, sufficient statistics, and the grouped pseudo-likelihood design.
 
 A model is an ordered list of terms; the statistic vector g(y, x) lays the
 terms out left to right. Every term here is a sum over dyads of a symmetric
 function of the endpoint attributes except the geometrically weighted
 degree term, which is a function of the degree sequence.
 
-Change statistics are the difference in g from switching one dyad on
-versus off with the rest of the graph held fixed; they determine the
-conditional log-odds of a tie and are computed incrementally, never by
-rebuilding the graph.
+A dyad's change statistic is the difference in g from switching it on
+versus off with the rest of the graph held fixed; it determines the
+conditional log-odds of a tie. Change statistics appear only as rows of
+the pseudo-likelihood design.
 
 A model compiles to one table. Each node gets one joint code over the
 attribute columns the model uses (its group; only codes that occur are
 numbered), and every dyad between groups a and b has the same change row
 for every term but gwdegree. The table holds that row once per unordered
 group pair, a level-pair block: at most K(K+1)/2 rows for K groups.
-Statistics are block tie counts times the table and a change row is a
-table lookup; gwdegree is added from the degrees. The pseudo-likelihood
-design is grouped, never per dyad: one row per pair of node classes (a
-class is a group, or with gwdegree a (group, degree) pair) and, with
-gwdegree, per tie state, counted from class sizes and the edge list.
-Exact simulation works on the blocks.
+Statistics are block tie counts times the table; gwdegree is added from
+the degrees. The pseudo-likelihood design is grouped, never per dyad: one
+row per pair of node classes (a class is a group, or with gwdegree a
+(group, degree) pair) and, with gwdegree, per tie state, counted from
+class sizes and the edge list. Exact simulation works on the blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .dataio import JsonObject, flag, level_pair, number, read_record, record_dict, text
-from .errors import ConfigError, DataError, MissingAttribute, SelfLoop, TooFewNodes
+from .errors import ConfigError, DataError, MissingAttribute, TooFewNodes
 from .graph import AttributeTable, CategoricalColumn, Graph
 
 
@@ -275,19 +274,6 @@ class CompiledModel:
             out[self._gw_offset] = float(self._w[g.degrees()].sum())
         return out
 
-    def change_row(
-        self, i: int, j: int, base_degree_i: int, base_degree_j: int
-    ) -> np.ndarray:
-        """Change statistics for dyad {i, j}.
-
-        ``base_degree_*`` are the endpoint degrees with the dyad itself
-        absent; all other terms depend only on the endpoint attributes.
-        """
-        row = self.table[self.pair[self.group[i], self.group[j]]].copy()
-        if self._gw_offset is not None:
-            row[self._gw_offset] = self._wdiff[base_degree_i] + self._wdiff[base_degree_j]
-        return row
-
     def design_matrix(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grouped pseudo-likelihood rows: change rows, tie counts, dyad counts.
 
@@ -343,29 +329,11 @@ def statistics(g: Graph, attrs: AttributeTable, model: ModelSpec) -> np.ndarray:
     return CompiledModel(model, attrs, g.n).statistics(g)
 
 
-def change_statistics(
-    g: Graph, attrs: AttributeTable, model: ModelSpec, dyad: tuple[int, int]
-) -> np.ndarray:
-    """Delta_ij: statistics with dyad on minus statistics with dyad off."""
-    i, j = dyad
-    if i == j:
-        raise SelfLoop(f"change statistic undefined for self-pair ({i}, {i})")
-    cm = CompiledModel(model, attrs, g.n)
-    present = 1 if g.has_edge(i, j) else 0
-    return cm.change_row(i, j, g.degree(i) - present, g.degree(j) - present)
-
-
 def dyad_index(n: int, i: int, j: int) -> int:
     """Position of dyad {i, j} in lexicographic order, i < j."""
     if i > j:
         i, j = j, i
     return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def dyad_list(n: int) -> np.ndarray:
-    """All dyads in lexicographic order as an (n*(n-1)/2, 2) array."""
-    iu, ju = np.triu_indices(n, k=1)
-    return np.column_stack([iu, ju])
 
 
 def dyad_endpoints(n: int, d: np.ndarray) -> np.ndarray:

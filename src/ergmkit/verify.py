@@ -1,8 +1,9 @@
 """Self-checks against exact enumeration on built-in tiny fixtures.
 
-Each check recomputes a quantity two independent ways (incremental versus
-full recompute, sampler versus enumeration, closed form versus fitted)
-and reports one pass/fail line. Backs the ``ergmkit verify`` subcommand.
+Each check recomputes a quantity two independent ways (pseudo-likelihood
+rows versus full recompute, sampler versus enumeration, closed form versus
+fitted) and reports one pass/fail line. Backs the ``ergmkit verify``
+subcommand.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from .exact import exact_distribution, exact_expected_stats, exact_mle, enumerat
 from .fit import fit_mple, or_table
 from .graph import AttributeTable, Graph, categorical
 from .model import (
+    CompiledModel,
     Edges,
     GwDegree,
     ModelSpec,
     NodeFactor,
     NodeMatch,
     NodeMix,
-    change_statistics,
-    statistics,
 )
 from .sampler import SamplerConfig, sample
 
@@ -44,6 +44,30 @@ def _fixture_model() -> ModelSpec:
     )
 
 
+def _holds_toggles(X, ties, trials, diffs, tied, gw: int) -> bool:
+    """Whether grouped design rows hold the dyads' toggle differences, as multisets.
+
+    ``diffs`` holds each dyad's on-minus-off statistics and ``tied`` its tie
+    state. Rows of different class pairs may be equal, so for each row v the
+    untied dyads whose difference is v must number the non-ties of every row
+    equal to v, and the tied ones their ties. Equality is exact on every
+    column but ``gw``, which is matched to 1e-12.
+    """
+    tol = np.zeros(X.shape[1])
+    tol[gw] = 1e-12
+
+    def equal(A, B):
+        return np.all(np.abs(A[:, None, :] - B[None, :, :]) <= tol, axis=2)
+
+    same, hit = equal(X, X), equal(X, diffs)
+    tied = tied.astype(np.float64)
+    return bool(
+        hit.any(axis=0).all()
+        and np.array_equal(hit @ (1.0 - tied), same @ (trials - ties))
+        and np.array_equal(hit @ tied, same @ ties)
+    )
+
+
 def run_verification() -> bool:
     """Run every check, print one PASS/FAIL line each and return whether all passed."""
     checks: list[tuple[str, bool, str]] = []
@@ -51,22 +75,25 @@ def run_verification() -> bool:
     def record(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
-    # change statistics equal full-recompute differences, all graphs n=4
+    # pseudo-likelihood rows against full-recompute toggles, all graphs n=4
     n = 4
     attrs = _fixture(n)
-    model = _fixture_model()
-    worst = 0.0
-    for g in enumerate_graphs(n):
-        base = statistics(g, attrs, model)
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = change_statistics(g, attrs, model, (i, j))
-                if g.has_edge(i, j):
-                    full = base - statistics(g.without_edge(i, j), attrs, model)
-                else:
-                    full = statistics(g.with_edge(i, j), attrs, model) - base
-                worst = max(worst, float(np.max(np.abs(delta - full))))
-    record("change-statistics vs full recompute (n=4, all graphs)", worst <= 1e-12, f"max |diff| = {worst:.2e}")
+    cm = CompiledModel(_fixture_model(), attrs, n)
+    gw = cm.stat_names.index("gwdegree")
+    graphs = enumerate_graphs(n)
+    dyads = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    bad = 0
+    for g in graphs:
+        base = cm.statistics(g)
+        tied = np.array([g.has_edge(i, j) for i, j in dyads])
+        toggled = np.array([cm.statistics(Graph(n, g.edges ^ {d})) for d in dyads])
+        diffs = np.where(tied[:, None], base - toggled, toggled - base)
+        bad += not _holds_toggles(*cm.design_matrix(g), diffs, tied, gw)
+    record(
+        "pseudo-likelihood rows hold full-recompute toggle differences (n=4, all graphs)",
+        bad == 0,
+        f"{bad} of {len(graphs)} graphs differ",
+    )
 
     # enumeration normalizes and matches the binomial closed form
     theta_e = 0.4

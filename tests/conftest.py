@@ -67,6 +67,14 @@ def gof_draw_rows(g, attrs, draws, aux_model):
     return degree_rows, aux_rows
 
 
+def with_edge(g, i, j):
+    return Graph(g.n, g.edges | {(min(i, j), max(i, j))})
+
+
+def without_edge(g, i, j):
+    return Graph(g.n, g.edges - {(min(i, j), max(i, j))})
+
+
 def graphs_on(n):
     """Every labeled simple graph on n nodes (2^(n(n-1)/2) of them)."""
     dyads = all_dyads(n)
@@ -127,13 +135,45 @@ def brute_statistics(g: Graph, attrs: AttributeTable, model: ModelSpec) -> np.nd
         elif isinstance(term, GwDegree):
             d = term.decay
             total = 0.0
-            for i in range(g.n):
-                k = g.degree(i)
+            for k in g.degrees().tolist():
                 total += math.exp(d) * (1.0 - (1.0 - math.exp(-d)) ** k)
             out.append(total)
         else:
             raise AssertionError(f"oracle does not know term {term!r}")
     return np.array(out)
+
+
+def assert_design_holds_toggles(g: Graph, attrs: AttributeTable, model: ModelSpec, design):
+    """The grouped design rows ``(X, ties, trials)`` of g hold its change statistics.
+
+    A dyad's change statistic is its full-recompute toggle difference: the
+    ``brute_statistics`` of g with the dyad on minus with it off. Distinct
+    rows may be equal, so rows and dyads match as multisets: for each row v,
+    the untied dyads whose difference is v number the trials minus ties of
+    every row equal to v, and the tied ones their ties. Matching is exact on
+    every column but gwdegree's, and to 1e-12 on it.
+    """
+    X, ties, trials = design
+    tol = np.zeros(X.shape[1])
+    for k, term in enumerate(model.terms):
+        if isinstance(term, GwDegree):  # its column follows the statistics of the terms before it
+            tol[len(brute_statistics(g, attrs, ModelSpec(model.terms[:k])))] = 1e-12
+    base = brute_statistics(g, attrs, model)
+    diffs, tied = [], []
+    for i, j in all_dyads(g.n):
+        tie = g.has_edge(i, j)
+        if tie:
+            diffs.append(base - brute_statistics(without_edge(g, i, j), attrs, model))
+        else:
+            diffs.append(brute_statistics(with_edge(g, i, j), attrs, model) - base)
+        tied.append(float(tie))
+    diffs, tied = np.array(diffs), np.array(tied)
+    same = np.all(np.abs(X[:, None, :] - X[None, :, :]) <= tol, axis=2)
+    hit = np.all(np.abs(X[:, None, :] - diffs[None, :, :]) <= tol, axis=2)
+    assert trials.sum() == len(tied) and ties.sum() == g.edge_count
+    assert hit.any(axis=0).all(), "a dyad's change statistic is in no design row"
+    np.testing.assert_array_equal(hit @ (1.0 - tied), same @ (trials - ties))
+    np.testing.assert_array_equal(hit @ tied, same @ ties)
 
 
 def dense_design(g: Graph, attrs: AttributeTable, model: ModelSpec):
@@ -143,7 +183,7 @@ def dense_design(g: Graph, attrs: AttributeTable, model: ModelSpec):
     the dyad from its endpoint labels and its endpoint degrees with the
     dyad itself absent, and y is its observed tie state.
     """
-    degree = [g.degree(i) for i in range(g.n)]
+    degree = g.degrees().tolist()
     labels = {t.attr: attrs[t.attr].labels() for t in model.terms if hasattr(t, "attr")}
     X, y = [], []
     for i, j in all_dyads(g.n):
@@ -493,7 +533,7 @@ def reference_chain(g0, theta, model, attrs, burn_in, thin, sample_count, seed):
     ties = [0] * len(cm.table)
     for d in range(len(dyads)):
         ties[block_of[d]] += tie[d]
-    degree = [g0.degree(i) for i in range(n)]
+    degree = g0.degrees().tolist()
     eta = (cm.table @ theta).tolist()
     gw_at = cm._gw_offset
     gw_theta = float(theta[gw_at]) if gw_at is not None else 0.0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import ergmkit.pipeline as pipeline
 from ergmkit.cli import main
 from ergmkit.graph import Graph
+from ergmkit.model import CompiledModel, GwDegree
 
 from test_pipeline import make_config, make_dataset
 
@@ -139,6 +141,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error" in err
+
+    def test_duplicate_node_ids_are_data_error(self, tmp_path, capsys):
+        (tmp_path / "e.csv").write_text("source,target\na,b\n")
+        (tmp_path / "n.txt").write_text("a\nb\na\n")
+        code, _, err = run_cli(
+            capsys, "stats", "--edges", str(tmp_path / "e.csv"), "--nodes", str(tmp_path / "n.txt")
+        )
+        assert code == 4
+        assert "node id 'a'" in err
 
     def test_bad_config_value(self, tmp_path, capsys):
         make_dataset(tmp_path, missing_rate=0.0)
@@ -688,3 +699,29 @@ class TestPipelineCommands:
         )
         assert code == 0
         assert "no_lack_of_fit" in json.loads(stdout)
+
+
+class TestVerify:
+    def test_every_check_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        checks = [line for line in out.splitlines() if line.startswith("[")]
+        assert code == 0
+        assert all(line.startswith("[PASS]") for line in checks)
+        assert out.splitlines()[-1] == f"{len(checks)}/{len(checks)} checks passed"
+
+    def test_wrong_tie_rows_fail_the_design_check(self, monkeypatch, capsys):
+        design_matrix = CompiledModel.design_matrix
+
+        def tie_rows_at_full_degree(self, g):
+            # tie rows' gwdegree entry wdiff[d_a] + wdiff[d_b] in place of
+            # wdiff[d_a - 1] + wdiff[d_b - 1]; wdiff[k] = (1 - e^(-decay))^k
+            X, ties, trials = design_matrix(self, g)
+            for term in self.model.terms:
+                if isinstance(term, GwDegree):
+                    X[ties > 0, self.stat_names.index("gwdegree")] *= 1.0 - math.exp(-term.decay)
+            return X, ties, trials
+
+        monkeypatch.setattr(CompiledModel, "design_matrix", tie_rows_at_full_degree)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "[FAIL] pseudo-likelihood rows hold full-recompute toggle differences" in out

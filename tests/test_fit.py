@@ -34,7 +34,7 @@ from ergmkit.model import (
 from ergmkit.sampler import SamplerConfig, sample, simulate
 from ergmkit.synth import CategoricalSpec, SynthSpec, generate
 
-from conftest import all_dyads, gof_draw_rows, two_level_attrs
+from conftest import all_dyads, gof_draw_rows, two_level_attrs, with_edge, without_edge
 
 
 def brute_pseudo_mle(g, attrs, model):
@@ -46,8 +46,8 @@ def brute_pseudo_mle(g, attrs, model):
     rows, ys = [], []
     for i, j in all_dyads(g.n):
         present = g.has_edge(i, j)
-        on = g.with_edge(i, j) if not present else g
-        off = g.without_edge(i, j) if present else g
+        on = with_edge(g, i, j) if not present else g
+        off = without_edge(g, i, j) if present else g
         rows.append(statistics(on, attrs, model) - statistics(off, attrs, model))
         ys.append(1.0 if present else 0.0)
     X = np.array(rows)

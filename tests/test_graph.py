@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmkit.errors import EmptyGraph, SelfLoop, UnknownNodeId
+from ergmkit.errors import DataError, EmptyGraph, SelfLoop, UnknownNodeId
 from ergmkit.graph import (
     AttributeTable,
     CategoricalColumn,
@@ -51,8 +51,8 @@ class TestLoadGraph:
             load_graph([("a", "z")], ["a", "b"])
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            load_graph([], ["a", "a"])
+        with pytest.raises(DataError, match="'a'"):
+            load_graph([], ["a", "b", "a"])
 
     def test_first_appearance_indexing(self):
         g = load_graph([("c", "a")], ["c", "a", "b"])
@@ -130,10 +130,13 @@ class TestComponents:
 
     def test_component_labels_partition(self):
         g = random_graph(9, 0.2, seed=3)
-        lab = connected_components(g)
-        assert lab.sizes.sum() == g.n
+        labels = connected_components(g)
+        # every node labelled, components numbered by their smallest node
+        ids, first = np.unique(labels, return_index=True)
+        assert labels.dtype == np.int64
+        assert ids.tolist() == list(range(len(ids))) and np.all(np.diff(first) > 0)
         for i, j in g.edges:
-            assert lab.labels[i] == lab.labels[j]
+            assert labels[i] == labels[j]
 
     def test_lcc_counts_on_reference_shaped_graph(self):
         # synthetic graph with the published shape: 767 nodes and 516 edges
@@ -171,11 +174,6 @@ class TestGraphInvariants:
     def test_out_of_range_rejected(self):
         with pytest.raises(UnknownNodeId):
             Graph(3, [(0, 3)])
-
-    def test_with_without_edge(self):
-        g = Graph(3, [(0, 1)])
-        assert g.with_edge(1, 2).edge_count == 2
-        assert g.with_edge(1, 2).without_edge(2, 1) == g
 
     def test_degrees_read_only(self):
         g = Graph(3, [(0, 1)])

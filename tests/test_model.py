@@ -11,7 +11,6 @@ from ergmkit.errors import (
     ConfigError,
     DataError,
     MissingAttribute,
-    SelfLoop,
     TooFewNodes,
     UnknownLevel,
 )
@@ -24,16 +23,21 @@ from ergmkit.model import (
     NodeFactor,
     NodeMatch,
     NodeMix,
-    change_statistics,
     dyad_endpoints,
     dyad_index,
-    dyad_list,
     read_term,
     statistics,
     term_to_dict,
 )
 
-from conftest import all_dyads, brute_statistics, dense_design, graphs_on, two_level_attrs
+from conftest import (
+    all_dyads,
+    assert_design_holds_toggles,
+    brute_statistics,
+    dense_design,
+    graphs_on,
+    two_level_attrs,
+)
 
 
 def sex_attrs(labels):
@@ -155,47 +159,42 @@ class TestStatistics:
 
 
 class TestChangeStatistics:
+    """Change statistics as the grouped design rows hold them."""
+
     def test_edges_term_is_one(self):
         attrs = two_level_attrs(4, 2)
-        d = change_statistics(Graph(4), attrs, ModelSpec([Edges()]), (1, 3))
-        assert d.tolist() == [1.0]
+        X, _, _ = CompiledModel(ModelSpec([Edges()]), attrs, 4).design_matrix(Graph(4, [(1, 3)]))
+        assert X.tolist() == [[1.0]]
 
     def test_nodemix_coordinates(self):
         attrs = living_attrs(["own", "homeless", "other", "own"])
         model = ModelSpec([NodeMix("living", reference=("homeless", "homeless"))])
         cm = CompiledModel(model, attrs, 4)
-        d = change_statistics(Graph(4), attrs, model, (0, 1))
-        hit = {name for name, v in zip(cm.stat_names, d) if v}
-        assert hit == {"nodemix.living.own.homeless"}
-
-    def test_self_pair_rejected(self):
-        attrs = two_level_attrs(3, 2)
-        with pytest.raises(SelfLoop):
-            change_statistics(Graph(3), attrs, ModelSpec([Edges()]), (1, 1))
+        X, _, trials = cm.design_matrix(Graph(4))
+        hit = {
+            tuple(name for name, v in zip(cm.stat_names, row) if v): t
+            for row, t in zip(X, trials)
+        }
+        assert hit == {
+            ("nodemix.living.own.own",): 1,
+            ("nodemix.living.own.other",): 2,
+            ("nodemix.living.own.homeless",): 2,
+            ("nodemix.living.other.homeless",): 1,
+        }
 
     def test_gwdegree_change_matches_full_recompute(self):
         attrs = two_level_attrs(5, 3)
         model = ModelSpec([GwDegree(0.5)])
         g = Graph(5, [(0, 1), (0, 2)])  # node 0 at degree 2
-        delta = change_statistics(g, attrs, model, (0, 3))
-        full = statistics(g.with_edge(0, 3), attrs, model) - statistics(
-            g, attrs, model
-        )
-        np.testing.assert_allclose(delta, full, atol=1e-12)
+        assert_design_holds_toggles(g, attrs, model, CompiledModel(model, attrs, 5).design_matrix(g))
 
     def test_exhaustive_consistency_n4(self):
         attrs = AttributeTable(
             [categorical("grp", ["a", "b"], ["a", "a", "b", "b"])]
         )
+        cm = CompiledModel(FULL_MODEL, attrs, 4)
         for g in graphs_on(4):
-            base = statistics(g, attrs, FULL_MODEL)
-            for i, j in all_dyads(4):
-                delta = change_statistics(g, attrs, FULL_MODEL, (i, j))
-                if g.has_edge(i, j):
-                    full = base - statistics(g.without_edge(i, j), attrs, FULL_MODEL)
-                else:
-                    full = statistics(g.with_edge(i, j), attrs, FULL_MODEL) - base
-                np.testing.assert_allclose(delta, full, atol=1e-12)
+            assert_design_holds_toggles(g, attrs, FULL_MODEL, cm.design_matrix(g))
 
     def test_sampled_consistency_n6(self):
         # n=6 has 32768 graphs; a seeded sample keeps the check affordable
@@ -207,33 +206,7 @@ class TestChangeStatistics:
         r = np.random.Generator(np.random.PCG64(42))
         for mask in r.integers(0, 1 << 15, size=200):
             g = Graph(6, [dyads[d] for d in range(15) if int(mask) >> d & 1])
-            base = cm.statistics(g)
-            degs = g.degrees()
-            for i, j in dyads:
-                present = g.has_edge(i, j)
-                delta = cm.change_row(
-                    i, j, int(degs[i]) - present, int(degs[j]) - present
-                )
-                if present:
-                    full = base - cm.statistics(g.without_edge(i, j))
-                else:
-                    full = cm.statistics(g.with_edge(i, j)) - base
-                np.testing.assert_allclose(delta, full, atol=1e-12)
-
-    def test_toggle_antisymmetry(self):
-        # the on-minus-off difference is the same whether the dyad is
-        # currently present or absent, so the deletion delta is exactly
-        # the negated addition delta
-        attrs = two_level_attrs(5, 2)
-        model = ModelSpec([Edges(), NodeMatch("grp"), GwDegree(0.4)])
-        g = Graph(5, [(0, 1), (2, 3)])
-        add = change_statistics(g, attrs, model, (1, 2))
-        on_state = change_statistics(g.with_edge(1, 2), attrs, model, (1, 2))
-        np.testing.assert_allclose(add, on_state, atol=1e-12)
-        deletion = statistics(g, attrs, model) - statistics(
-            g.with_edge(1, 2), attrs, model
-        )
-        np.testing.assert_allclose(deletion, -add, atol=1e-12)
+            assert_design_holds_toggles(g, attrs, FULL_MODEL, cm.design_matrix(g))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**10 - 1), st.integers(0, 9))
@@ -335,16 +308,8 @@ class TestDesignMatrix:
         model = ModelSpec([Edges(), NodeMatch("grp"), GwDegree(0.5)])
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
         X, ties, trials = CompiledModel(model, attrs, 5).design_matrix(g)
-        tied = ties == trials
-        assert np.all(tied | (ties == 0))  # with gwdegree a row is all ties or all non-ties
-        held = np.zeros(len(X))
-        for i, j in dyad_list(5):
-            assert dyad_list(5)[dyad_index(5, int(j), int(i))].tolist() == [i, j]
-            row = change_statistics(g, attrs, model, (int(i), int(j)))
-            hit = np.all(np.abs(X - row) <= 1e-12, axis=1) & (tied == g.has_edge(int(i), int(j)))
-            assert hit.sum() == 1
-            held += hit
-        np.testing.assert_array_equal(held, trials)
+        assert np.all((ties == trials) | (ties == 0))  # with gwdegree a row is all ties or all non-ties
+        assert_design_holds_toggles(g, attrs, model, (X, ties, trials))
 
 
 class TestDyadEndpoints:
@@ -358,7 +323,7 @@ class TestDyadEndpoints:
         got = dyad_endpoints(n, d)
         assert got.dtype == np.int64
         for (a, b), pos in zip(got.tolist(), d.tolist()):
-            assert 0 <= a < b < n and dyad_index(n, a, b) == pos
+            assert 0 <= a < b < n and dyad_index(n, a, b) == dyad_index(n, b, a) == pos
 
 
 class TestSerialization:

@@ -62,7 +62,7 @@ class TestDensity:
 
     def test_adding_edge_increases(self):
         g = Graph(5, [(0, 1)])
-        assert density(g.with_edge(2, 3)) > density(g)
+        assert density(Graph(5, [(0, 1), (2, 3)])) > density(g)
 
     def test_isolate_decreases(self):
         g = Graph(5, [(0, 1), (1, 2)])

@@ -3,11 +3,14 @@ its library example runs."""
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import ergmkit
 from ergmkit.dataio import load_schema
 from ergmkit.pipeline import config_from_dict
 from ergmkit.synth import spec_from_dict
@@ -46,6 +49,20 @@ def blocks(language: str) -> list[tuple[str, str]]:
     return found
 
 
+def section(name: str) -> str:
+    """Text under the README heading ``name``, fenced blocks included, up to the next heading."""
+    lines, inside, fenced = [], False, False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif line.startswith("#") and not fenced:
+            inside = line.lstrip("#").strip() == name
+            continue
+        if inside:
+            lines.append(line)
+    return "\n".join(lines)
+
+
 def test_readme_has_every_format():
     assert sorted({h for h, _ in blocks("json")}) == sorted(READERS)
 
@@ -61,3 +78,16 @@ def test_library_example_runs(capsys):
     (code,) = [text for heading, text in blocks("python") if heading == "Library use"]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_public_api_is_the_documented_one():
+    words = set(re.findall(r"\w+", section("Library use")))
+    assert [name for name in ergmkit.__all__ if name not in words] == []
+    (code,) = [text for heading, text in blocks("python") if heading == "Library use"]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "ergmkit"
+        for alias in node.names
+    ]
+    assert imported and [name for name in imported if name not in ergmkit.__all__] == []
