@@ -20,7 +20,7 @@ from .model import (
     statistics,
 )
 from .netstats import network_summary
-from .sampler import SamplerConfig, sample
+from .sampler import SamplerConfig, simulate
 from .fit import FitResult, fit_mcmle, fit_mple, gof, screen_univariate
 from .forest import ForestConfig
 from .imputation import ImputationResult, MissingnessMask, impute_missforest, impute_psm
@@ -53,7 +53,7 @@ __all__ = [
     "impute_psm",
     "largest_connected_component",
     "network_summary",
-    "sample",
     "screen_univariate",
+    "simulate",
     "statistics",
 ]

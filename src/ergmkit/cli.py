@@ -114,18 +114,13 @@ def _cmd_impute(args) -> int:
     if config.missing_policy == "complete_case":
         raise ConfigError("impute needs missing_policy psm or missforest")
     _, attrs, ids = load_network(config.edges, config.attributes, load_schema(config.schema))
-    targets = list(config.imputation_targets) or [
+    targets = list(config.imputation.targets) or [
         c for c in attrs.names if attrs[c].missing_mask().any()
     ]
-    attrs, diag = impute_attributes(attrs, targets, config)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    attrs = impute_attributes(attrs, targets, config, outdir)
     write_attribute_csv(outdir / "attributes_completed.csv", attrs, ids)
-    (outdir / "imputation.json").write_text(
-        json.dumps({"method": config.missing_policy, "diagnostics": diag}, sort_keys=True, default=str)
-        + "\n",
-        encoding="utf-8",
-    )
     print(json.dumps({"out": str(outdir), "imputed_columns": targets}, sort_keys=True))
     return 0
 

@@ -8,11 +8,13 @@ categorical (with level order) or continuous, plus optional recode maps
 and reference levels/pairs used by the model builders. Reading applies the
 recode maps, so every loaded categorical column is on its declared levels.
 
-The run config, the schema, the synth spec and the model terms are read
-field by field with the readers below. A reader takes the field's dotted
-path (``where``) and its decoded JSON value, and returns the value typed
-or raises a ConfigError naming the field. A key that no reader reads is
-an error too, so a misspelt setting cannot silently take its default.
+The run config, the schema, the synth spec and the model terms are
+dataclasses read by ``read_record``. Each field that JSON sets is a
+``setting``: its reader and its default are declared once, on the field.
+A reader takes the field's dotted path (``where``) and its decoded JSON
+value, and returns the value typed or raises a ConfigError naming the
+field. A key that no reader reads is an error too, so a misspelt setting
+cannot silently take its default.
 """
 
 from __future__ import annotations
@@ -106,22 +108,36 @@ def checked(where: str, make, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"config {where}: {exc}") from None
+        raise ConfigError(f"config {where or 'top level'}: {exc}") from None
 
 
-def read_record(obj: JsonObject, cls, readers: dict):
-    """Dataclass ``cls`` from a JSON object: each field in ``readers`` read
-    by its reader, an absent one taking the class's default, and no other
-    key than those and the ones already read."""
-    obj.close(*readers)
-    defaults = {f.name: f.default for f in fields(cls)}
-    values = {k: obj.get(k, read, defaults[k]) for k, read in readers.items()}
-    return checked(obj.where, cls, **values)
+def setting(read, default=MISSING, *, factory=MISSING):
+    """A dataclass field that ``read_record`` reads from the JSON key of its
+    name with ``read``. ``default`` or ``factory`` is its value when the key
+    is absent, as in ``dataclasses.field``; without either the key is required."""
+    return field(default=default, default_factory=factory, metadata={"read": read})
 
 
-def record_dict(record) -> dict:
+def read_record(obj: JsonObject, cls, **given):
+    """Dataclass ``cls`` from a JSON object: every ``setting`` field not in
+    ``given`` read by its reader, an absent one taking its default, and no
+    other key than those and the ones already read."""
+    settings = [f for f in fields(cls) if "read" in f.metadata and f.name not in given]
+    obj.close(*(f.name for f in settings))
+    for f in settings:
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        given[f.name] = obj.get(f.name, f.metadata["read"], default)
+    return checked(obj.where, cls, **given)
+
+
+def record(cls):
+    """Reader of a JSON object as the dataclass ``cls`` (``read_record``)."""
+    return lambda where, value: read_record(JsonObject(where, value), cls)
+
+
+def record_dict(rec) -> dict:
     """The fields of a dataclass as ``read_record`` reads them, tuples as lists."""
-    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    values = {f.name: getattr(rec, f.name) for f in fields(rec)}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
@@ -149,11 +165,6 @@ class JsonObject:
             return None
         return read(self._path(key), value)
 
-    def object(self, key: str) -> JsonObject:
-        """Field ``key`` as a JsonObject; an absent field is an empty object."""
-        self.read.add(key)
-        return JsonObject(self._path(key), self.fields.get(key, {}))
-
     def close(self, *expected: str) -> None:
         """Raise a ConfigError naming the first key neither read nor ``expected``."""
         for key in self.fields:
@@ -166,10 +177,10 @@ class JsonObject:
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    name: str
-    kind: str  # categorical | continuous
-    levels: tuple[str, ...] = ()
-    units: str = ""
+    name: str  # the column's key in the schema's ``columns``
+    kind: str  # categorical | continuous, its "type"
+    levels: tuple[str, ...] = setting(names, ())
+    units: str = setting(text, "")
 
     def __post_init__(self):
         if self.kind not in ("categorical", "continuous"):
@@ -180,28 +191,25 @@ class ColumnSchema:
             raise ConfigError(f"column {self.name!r}: duplicate levels {list(self.levels)}")
 
 
+def _columns(where: str, value) -> tuple[ColumnSchema, ...]:
+    return tuple(
+        read_record(c, ColumnSchema, name=name, kind=c.get("type", text))
+        for name, c in mapped(JsonObject)(where, value).items()
+    )
+
+
 @dataclass(frozen=True)
 class Schema:
-    columns: tuple[ColumnSchema, ...]
-    recode: dict = field(default_factory=dict)  # column -> {raw: analysis level}
-    reference_levels: dict = field(default_factory=dict)
-    reference_pairs: dict = field(default_factory=dict)
+    columns: tuple[ColumnSchema, ...] = setting(_columns, ())
+    recode: dict = setting(mapped(mapped(text)), factory=dict)  # column -> {raw: analysis level}
+    reference_levels: dict = setting(mapped(text), factory=dict)
+    reference_pairs: dict = setting(mapped(level_pair), factory=dict)
 
     def column(self, name: str) -> ColumnSchema:
         for c in self.columns:
             if c.name == name:
                 return c
         raise ConfigError(f"column {name!r} not declared in schema")
-
-
-def _column_schema(name: str, c: JsonObject) -> ColumnSchema:
-    c.close("type", "levels", "units")
-    return ColumnSchema(
-        name=name,
-        kind=c.get("type", text),
-        levels=c.get("levels", names, ()),
-        units=c.get("units", text, ""),
-    )
 
 
 def _check_references(key: str, references: dict, columns: tuple[ColumnSchema, ...]) -> None:
@@ -221,23 +229,12 @@ def _check_references(key: str, references: dict, columns: tuple[ColumnSchema, .
 
 def load_schema(path) -> Schema:
     with open(path, encoding="utf-8") as fh:
-        raw = JsonObject("schema", json.load(fh))
-    columns = tuple(
-        _column_schema(name, c) for name, c in raw.get("columns", mapped(JsonObject), {}).items()
-    )
-    recode = raw.get("recode", mapped(mapped(text)), {})
-    stray = set(recode) - {c.name for c in columns if c.kind == "categorical"}
+        schema = read_record(JsonObject("schema", json.load(fh)), Schema)
+    stray = set(schema.recode) - {c.name for c in schema.columns if c.kind == "categorical"}
     if stray:
         raise ConfigError(f"recode maps for {sorted(stray)}: not declared categorical columns")
-    schema = Schema(
-        columns=columns,
-        recode=recode,
-        reference_levels=raw.get("reference_levels", mapped(text), {}),
-        reference_pairs=raw.get("reference_pairs", mapped(level_pair), {}),
-    )
-    raw.close()
-    _check_references("reference_levels", schema.reference_levels, columns)
-    _check_references("reference_pairs", schema.reference_pairs, columns)
+    _check_references("reference_levels", schema.reference_levels, schema.columns)
+    _check_references("reference_pairs", schema.reference_pairs, schema.columns)
     return schema
 
 
@@ -265,6 +262,9 @@ def read_attribute_csv(path) -> tuple[list[str], dict[str, list[str | None]]]:
         if not header or header[0].strip() != "id":
             raise DataError(f"{path}: attribute CSV must start with an id column")
         names = [h.strip() for h in header[1:]]
+        repeated = next((h for k, h in enumerate(names) if h in names[:k]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: column {repeated!r} appears more than once in the header")
         ids: list[str] = []
         values: dict[str, list[str | None]] = {name: [] for name in names}
         for row in reader:
@@ -281,14 +281,17 @@ def read_attribute_csv(path) -> tuple[list[str], dict[str, list[str | None]]]:
     return ids, values
 
 
-def attribute_table(values: dict[str, list[str | None]], schema: Schema) -> AttributeTable:
+def attribute_table(
+    values: dict[str, list[str | None]], schema: Schema, ids: list[str]
+) -> AttributeTable:
     """Typed table on the schema's declared levels.
 
-    Continuous cells are parsed as floats. A categorical cell takes its
-    column's ``recode`` target if the map has its label, else keeps the
-    label if it is a declared level; any other label raises
-    ``UnmappedLabel``, and a target that is not a declared level raises
-    ``UnknownLevel``.
+    A continuous cell must parse as a finite float; any other text, NaN
+    or an infinity raises ``DataError`` naming the node. A categorical
+    cell takes its column's ``recode`` target if the map has its label,
+    else keeps the label if it is a declared level; any other label
+    raises ``UnmappedLabel``, and a target that is not a declared level
+    raises ``UnknownLevel``.
     """
     cols = []
     for cs in schema.columns:
@@ -296,16 +299,16 @@ def attribute_table(values: dict[str, list[str | None]], schema: Schema) -> Attr
             raise DataError(f"attribute CSV lacks declared column {cs.name!r}")
         vals = values[cs.name]
         if cs.kind == "continuous":
-            try:
-                cols.append(
-                    continuous(
-                        cs.name,
-                        [None if v is None else float(v) for v in vals],
-                        cs.units,
-                    )
-                )
-            except ValueError as exc:
-                raise DataError(f"column {cs.name!r}: {exc}") from None
+            parsed = []
+            for node, cell in zip(ids, vals):
+                try:
+                    v = None if cell is None else float(cell)
+                except ValueError:
+                    v = math.nan
+                if v is not None and not math.isfinite(v):
+                    raise DataError(f"column {cs.name!r}: node {node!r} has {cell!r}, not a finite number")
+                parsed.append(v)
+            cols.append(continuous(cs.name, parsed, cs.units))
         else:
             mapping = {lev: lev for lev in cs.levels}
             mapping.update(schema.recode.get(cs.name, {}))
@@ -327,7 +330,7 @@ def load_network(
     pairs = read_edge_csv(edge_path)
     ids, values = read_attribute_csv(attr_path)
     g = load_graph(pairs, ids)
-    return g, attribute_table(values, schema), ids
+    return g, attribute_table(values, schema, ids), ids
 
 
 def write_edge_csv(path, g: Graph) -> None:

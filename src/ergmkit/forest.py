@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import count, setting
 from .errors import ConfigError, DataError
 
 _GROUP_ENTRIES = 1 << 16  # (sample, candidate) pairs of a tree group: bounds level memory
@@ -37,9 +38,9 @@ _GROUP_ENTRIES = 1 << 16  # (sample, candidate) pairs of a tree group: bounds le
 
 @dataclass(frozen=True)
 class ForestConfig:
-    trees: int = 100
-    mtry: int | None = None  # None: ceil(sqrt(feature count))
-    min_leaf: int = 1
+    trees: int = setting(count, 100)
+    mtry: int | None = setting(count, None)  # None: ceil(sqrt(feature count))
+    min_leaf: int = setting(count, 1)
 
     def __post_init__(self):
         if self.trees < 1:

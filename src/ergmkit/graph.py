@@ -2,7 +2,8 @@
 
 Both structures are immutable after construction and safe to share across
 threads; all "mutation" constructs new values. The Metropolis sampler keeps
-its own private mutable adjacency.
+its own mutable state instead (``sampler.ChainState``): node degrees, per
+dyad its level-pair block and one tie byte, and per block a tie count.
 """
 
 from __future__ import annotations

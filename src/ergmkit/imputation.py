@@ -88,14 +88,12 @@ def impute_psm(
     attrs: AttributeTable,
     target: str,
     covariates: list[str],
-    seed: int = 0,
 ) -> ImputationResult:
     """Nearest-propensity donor imputation for one target column.
 
     The propensity is the fitted probability of the target being missing.
-    Ties in score distance break toward the smallest donor index. The
-    procedure is deterministic; the seed is accepted for interface parity
-    and recorded in the diagnostics.
+    Ties in score distance break toward the smallest donor index, so the
+    procedure is deterministic.
     """
     col = attrs[target]
     missing = col.missing_mask()
@@ -107,7 +105,7 @@ def impute_psm(
             completed=attrs,
             provenance=provenance,
             method="PSM",
-            diagnostics={"imputed": 0, "donors": {}, "seed": seed},
+            diagnostics={"imputed": 0, "donors": {}},
         )
     X, names = _design_from_covariates(attrs, covariates)
     try:
@@ -141,7 +139,6 @@ def impute_psm(
             "propensity_coefficients": {
                 name: float(b) for name, b in zip(names, lf.beta)
             },
-            "seed": seed,
         },
     )
 

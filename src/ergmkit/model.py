@@ -29,7 +29,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dataio import JsonObject, flag, level_pair, number, read_record, record_dict, text
+from .dataio import JsonObject, flag, level_pair, number, read_record, record_dict, setting, text
 from .errors import ConfigError, DataError, MissingAttribute, TooFewNodes
 from .graph import AttributeTable, CategoricalColumn, Graph
 
@@ -48,8 +48,8 @@ class NodeMatch:
     single match count.
     """
 
-    attr: str
-    differential: bool = True
+    attr: str = setting(text)
+    differential: bool = setting(flag, True)
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,16 @@ class NodeFactor:
     level's statistic.
     """
 
-    attr: str
-    reference: str
+    attr: str = setting(text)
+    reference: str = setting(text)
 
 
 @dataclass(frozen=True)
 class NodeMix:
     """Edges between each unordered level pair, relative to a reference pair."""
 
-    attr: str
-    reference: tuple[str, str]
+    attr: str = setting(text)
+    reference: tuple[str, str] = setting(level_pair)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class GwDegree:
     fixed during fitting, keeping the model in the linear family.
     """
 
-    decay: float = 0.5
+    decay: float = setting(number, 0.5)
 
     def __post_init__(self):
         if not self.decay > 0:
@@ -111,16 +111,15 @@ class ModelSpec:
         return not any(isinstance(t, GwDegree) for t in self.terms)
 
 
-# JSON name of each term kind: its class and the reader of each of its
-# fields. An absent field takes the class's default, if it has one.
+# JSON name of each term kind, read as its class's record
 TERM_KINDS = {
-    "edges": (Edges, {}),
-    "nodematch": (NodeMatch, {"attr": text, "differential": flag}),
-    "nodefactor": (NodeFactor, {"attr": text, "reference": text}),
-    "nodemix": (NodeMix, {"attr": text, "reference": level_pair}),
-    "gwdegree": (GwDegree, {"decay": number}),
+    "edges": Edges,
+    "nodematch": NodeMatch,
+    "nodefactor": NodeFactor,
+    "nodemix": NodeMix,
+    "gwdegree": GwDegree,
 }
-_KIND_OF = {cls: kind for kind, (cls, _) in TERM_KINDS.items()}
+_KIND_OF = {cls: kind for kind, cls in TERM_KINDS.items()}
 
 
 def term_to_dict(term: TermSpec) -> dict:
@@ -133,7 +132,7 @@ def read_term(where: str, value) -> TermSpec:
     kind = obj.get("term", text)
     if kind not in TERM_KINDS:
         raise ConfigError(f"config {where}: unknown term kind {kind!r}")
-    return read_record(obj, *TERM_KINDS[kind])
+    return read_record(obj, TERM_KINDS[kind])
 
 
 def _gw_weights(decay: float, max_degree: int) -> np.ndarray:

@@ -13,7 +13,7 @@ stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,9 @@ from .dataio import (
     names,
     number,
     rate,
+    read_record,
+    record,
+    setting,
     text,
 )
 from .errors import ConfigError, ErgmkitError
@@ -118,28 +121,53 @@ def attribute_summary_csv(summary: dict) -> str:
 
 
 @dataclass(frozen=True)
+class ImputationConfig(ForestConfig):
+    """The ``imputation`` record: missForest's forest settings, plus the
+    columns to impute and the covariates to impute them from."""
+
+    targets: tuple[str, ...] = setting(names, ())
+    covariates: tuple[str, ...] | None = setting(names, None)
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """The ``fit`` record: estimator, chain controls, gof draws and screen level."""
+
+    method: str = setting(text, "mple")
+    burn_in: int | None = setting(count, None)
+    thin: int | None = setting(count, None)
+    samples: int = setting(count, 512)
+    gof_samples: int = setting(count, 200)
+    trace: bool = setting(flag, False)
+    screen_alpha: float = setting(rate, 0.2)
+
+    def __post_init__(self):
+        if self.method not in ("mple", "mcmle"):
+            raise ConfigError("method must be mple or mcmle")
+        if self.gof_samples < 1:
+            raise ConfigError("gof_samples must be >= 1")
+        SamplerConfig(self.burn_in, self.thin, self.samples)  # checks the chain controls
+
+
+def _gwdegree(where: str, value) -> GwDegree:
+    return checked(where, GwDegree, number(where, value))
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    edges: str
-    attributes: str
-    schema: str
-    scope: str = "full"
-    missing_policy: str = "complete_case"
-    family: str = "match"
-    attributes_used: tuple[str, ...] = ()
-    final_candidates: tuple[TermSpec, ...] = ()
-    gwdegree: GwDegree | None = None
-    imputation_targets: tuple[str, ...] = ()
-    imputation_covariates: tuple[str, ...] | None = None
-    forest: ForestConfig = field(default_factory=ForestConfig)
-    fit_method: str = "mple"
-    burn_in: int | None = None
-    thin: int | None = None
-    samples: int = 512
-    gof_samples: int = 200
-    gof_trace: bool = False
-    screen_alpha: float = 0.2
-    seed: int = 0
-    out: str = "out"
+    edges: str = setting(text)
+    attributes: str = setting(text)
+    schema: str = setting(text)
+    scope: str = setting(text, "full")
+    missing_policy: str = setting(text, "complete_case")
+    family: str = setting(text, "match")
+    attributes_used: tuple[str, ...] = setting(names, ())
+    final_candidates: tuple[TermSpec, ...] = setting(each(read_term), ())
+    gwdegree: GwDegree | None = setting(_gwdegree, None)  # its decay in JSON
+    imputation: ImputationConfig = setting(record(ImputationConfig), factory=ImputationConfig)
+    fit: FitConfig = setting(record(FitConfig), factory=FitConfig)
+    seed: int = setting(count, 0)
+    out: str = setting(text, "out")
 
     def __post_init__(self):
         if self.scope not in SCOPES:
@@ -148,57 +176,29 @@ class RunConfig:
             raise ConfigError(f"missing_policy must be one of {POLICIES}")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}")
-        if self.fit_method not in ("mple", "mcmle"):
-            raise ConfigError("fit_method must be mple or mcmle")
-        if self.gof_samples < 1:
-            raise ConfigError("gof_samples must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        self.sampler  # checks the chain controls
 
-    @property
-    def sampler(self) -> SamplerConfig:
-        """The fit's chain controls, seeded with the run seed."""
-        return SamplerConfig(self.burn_in, self.thin, self.samples, self.seed)
+    def sampler(self, gof: bool = False) -> SamplerConfig:
+        """The fit's chain controls, seeded with the run seed; with ``gof``,
+        gof's: ``fit.gof_samples`` draws, seeded with the run seed + 1."""
+        fit = self.fit
+        if gof:
+            return SamplerConfig(fit.burn_in, fit.thin, fit.gof_samples, self.seed + 1)
+        return SamplerConfig(fit.burn_in, fit.thin, fit.samples, self.seed)
 
 
 def config_from_dict(d: dict, base: Path | None = None) -> RunConfig:
-    def path(p: str) -> str:
-        return str(base / p) if base is not None and not Path(p).is_absolute() else p
+    """The run config a JSON object declares, its relative paths resolved against ``base``."""
+    config = read_record(JsonObject("", d), RunConfig)
+    if base is None:
+        return config
 
-    top = JsonObject("", d)
-    imp, fit = top.object("imputation"), top.object("fit")
-    decay = top.get("gwdegree", number, None)
-    config = dict(
-        edges=path(top.get("edges", text)),
-        attributes=path(top.get("attributes", text)),
-        schema=path(top.get("schema", text)),
-        scope=top.get("scope", text, "full"),
-        missing_policy=top.get("missing_policy", text, "complete_case"),
-        family=top.get("family", text, "match"),
-        attributes_used=top.get("attributes_used", names, ()),
-        final_candidates=top.get("final_candidates", each(read_term), ()),
-        gwdegree=None if decay is None else checked("gwdegree", GwDegree, decay),
-        imputation_targets=imp.get("targets", names, ()),
-        imputation_covariates=imp.get("covariates", names, None),
-        forest=ForestConfig(
-            trees=imp.get("trees", count, 100),
-            mtry=imp.get("mtry", count, None),
-            min_leaf=imp.get("min_leaf", count, 1),
-        ),
-        fit_method=fit.get("method", text, "mple"),
-        burn_in=fit.get("burn_in", count, None),
-        thin=fit.get("thin", count, None),
-        samples=fit.get("samples", count, 512),
-        gof_samples=fit.get("gof_samples", count, 200),
-        gof_trace=fit.get("trace", flag, False),
-        screen_alpha=fit.get("screen_alpha", rate, 0.2),
-        seed=top.get("seed", count, 0),
-        out=path(top.get("out", text, "out")),
-    )
-    for obj in (top, imp, fit):
-        obj.close()
-    return RunConfig(**config)
+    def path(p: str) -> str:
+        return p if Path(p).is_absolute() else str(base / p)
+
+    paths = ("edges", "attributes", "schema", "out")
+    return replace(config, **{k: path(getattr(config, k)) for k in paths})
 
 
 def load_config(path) -> RunConfig:
@@ -269,34 +269,34 @@ def _require_columns(attrs: AttributeTable, key: str, names) -> None:
 
 
 def impute_attributes(
-    attrs: AttributeTable, targets: list[str], config: RunConfig
-) -> tuple[AttributeTable, dict]:
-    """Complete the target columns by the config's imputation policy.
+    attrs: AttributeTable, targets: list[str], config: RunConfig, outdir: Path
+) -> AttributeTable:
+    """Complete the target columns by the config's imputation policy, and
+    write ``imputation.json``: the policy, the targets and the diagnostics.
 
-    Covariates are ``config.imputation_covariates``, or every column that
+    Covariates are ``config.imputation.covariates``, or every column that
     is not a target. PSM imputes one target at a time and its diagnostics
-    are keyed by target; missForest imputes the targets together and
-    returns its own diagnostics. With no targets the table comes back
-    unchanged with empty diagnostics, whatever the policy.
+    are keyed by target; missForest imputes the targets together and its
+    diagnostics go under ``missforest``. With no targets the table comes
+    back unchanged with no diagnostics, whatever the policy.
     """
-    if not targets:
-        return attrs, {}
-    covs = (
-        list(config.imputation_covariates)
-        if config.imputation_covariates is not None
-        else [c for c in attrs.names if c not in targets]
-    )
-    _require_columns(attrs, "imputation.targets", targets)
-    _require_columns(attrs, "imputation.covariates", covs)
-    if config.missing_policy == "psm":
-        diag = {}
-        for t in targets:
-            res = impute_psm(attrs, t, covs, seed=config.seed)
+    diag: dict = {"policy": config.missing_policy, "targets": targets}
+    if targets:
+        covs = config.imputation.covariates
+        covs = list(covs) if covs is not None else [c for c in attrs.names if c not in targets]
+        _require_columns(attrs, "imputation.targets", targets)
+        _require_columns(attrs, "imputation.covariates", covs)
+        if config.missing_policy == "psm":
+            for t in targets:
+                res = impute_psm(attrs, t, covs)
+                attrs = res.completed
+                diag[t] = res.diagnostics
+        else:
+            res = impute_missforest(attrs, targets, covs, forest=config.imputation, seed=config.seed)
             attrs = res.completed
-            diag[t] = res.diagnostics
-        return attrs, diag
-    res = impute_missforest(attrs, targets, covs, forest=config.forest, seed=config.seed)
-    return res.completed, res.diagnostics
+            diag["missforest"] = res.diagnostics
+    _write_json(outdir / "imputation.json", diag)
+    return attrs
 
 
 @dataclass
@@ -357,24 +357,16 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             attrs = attrs.subset(keep_idx)
             ids = [ids[k] for k in keep_idx]
             summary["stages"]["missing_policy"] = {
-                "policy": "complete_case",
+                "policy": config.missing_policy,
                 "dropped": int(drop_mask.sum()),
                 "nodes": g.n,
                 "edges": g.edge_count,
             }
         else:
-            targets = list(config.imputation_targets)
-            if not targets:
-                targets = [
-                    name for name in modeled if attrs[name].missing_mask().any()
-                ]
-            diag: dict = {"policy": config.missing_policy, "targets": targets}
-            attrs, method_diag = impute_attributes(attrs, targets, config)
-            if config.missing_policy == "psm":
-                diag.update(method_diag)
-            elif targets:
-                diag["missforest"] = method_diag
-            _write_json(outdir / "imputation.json", diag)
+            targets = list(config.imputation.targets) or [
+                name for name in modeled if attrs[name].missing_mask().any()
+            ]
+            attrs = impute_attributes(attrs, targets, config, outdir)
             summary["stages"]["missing_policy"] = {
                 "policy": config.missing_policy,
                 "nodes": g.n,
@@ -386,7 +378,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             candidates = list(config.final_candidates) or build_family_terms(
                 "match", modeled, schema, attrs
             )
-            screen = screen_univariate(g, attrs, candidates, alpha=config.screen_alpha)
+            screen = screen_univariate(g, attrs, candidates, alpha=config.fit.screen_alpha)
             report.screen = screen
             _write(outdir / "screen.json", screen.to_json() + "\n")
             terms = list(screen.selected)
@@ -402,8 +394,8 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
         )
 
         stage = "fit"
-        if config.fit_method == "mcmle":
-            fit_result = fit_mcmle(g, attrs, model, config.sampler)
+        if config.fit.method == "mcmle":
+            fit_result = fit_mcmle(g, attrs, model, config.sampler())
         else:
             fit_result = fit_mple(g, attrs, model)
         report.fit = fit_result
@@ -413,19 +405,14 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
 
         if with_gof:
             stage = "gof"
-            gof_cfg = SamplerConfig(
-                burn_in=config.burn_in,
-                thin=config.thin,
-                sample_count=config.gof_samples,
-                seed=config.seed + 1,
-            )
+            gof_cfg = config.sampler(gof=True)
             gof_report = gof(
                 g,
                 attrs,
                 model,
                 fit_result.theta,
                 gof_cfg,
-                trace_path=(outdir / "gof_trace.csv") if config.gof_trace else None,
+                trace_path=(outdir / "gof_trace.csv") if config.fit.trace else None,
             )
             report.gof = gof_report
             summary["stages"]["gof"] = simulation_counters(model, g.n, gof_cfg)
@@ -442,7 +429,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             "scope": config.scope,
             "missing_policy": config.missing_policy,
             "family": config.family,
-            "fit_method": config.fit_method,
+            "fit_method": config.fit.method,
             "stages": summary["stages"],
         }
         _write_json(outdir / "manifest.json", manifest)

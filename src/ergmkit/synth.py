@@ -24,7 +24,9 @@ from .dataio import (
     names,
     number,
     read_record,
+    record,
     record_dict,
+    setting,
     text,
 )
 from .errors import ConfigError
@@ -43,8 +45,8 @@ from .sampler import SamplerConfig, simulate
 
 @dataclass(frozen=True)
 class CategoricalSpec:
-    levels: tuple[str, ...]
-    probs: tuple[float, ...]
+    levels: tuple[str, ...] = setting(names)
+    probs: tuple[float, ...] = setting(each(number))
 
     def __post_init__(self):
         if len(self.levels) != len(self.probs):
@@ -57,8 +59,8 @@ class CategoricalSpec:
 
 @dataclass(frozen=True)
 class ContinuousSpec:
-    mean: float
-    sd: float
+    mean: float = setting(number)
+    sd: float = setting(number)
 
     def __post_init__(self):
         if self.sd < 0:
@@ -67,11 +69,11 @@ class ContinuousSpec:
 
 @dataclass(frozen=True)
 class MissingSpec:
-    column: str
-    rate: float
-    mechanism: str = "mcar"  # mcar | mar
-    covariate: str | None = None
-    slope: float = 1.0
+    column: str = setting(text)
+    rate: float = setting(number)
+    mechanism: str = setting(text, "mcar")  # mcar | mar
+    covariate: str | None = setting(text, None)
+    slope: float = setting(number, 1.0)
 
     def __post_init__(self):
         if not 0 <= self.rate < 1:
@@ -82,15 +84,32 @@ class MissingSpec:
             raise ConfigError("mar missingness needs a conditioning covariate")
 
 
+# the type field of a column spec: its class
+_COLUMN_TYPES = {"categorical": CategoricalSpec, "continuous": ContinuousSpec}
+_TYPE_OF = {cls: kind for kind, cls in _COLUMN_TYPES.items()}
+
+
+def _column_spec(where: str, value) -> CategoricalSpec | ContinuousSpec:
+    obj = JsonObject(where, value)
+    kind = obj.get("type", text)
+    if kind not in _COLUMN_TYPES:
+        raise ConfigError(f"config {where}: unknown type {kind!r}")
+    return read_record(obj, _COLUMN_TYPES[kind])
+
+
+def _model(where: str, value) -> ModelSpec:
+    return checked(where, ModelSpec, each(read_term)(where, value))
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    n: int
-    columns: dict  # name -> CategoricalSpec | ContinuousSpec
-    model: ModelSpec
-    theta: tuple[float, ...]
-    missing: tuple[MissingSpec, ...] = ()
-    seed: int = 0
-    burn_in: int | None = None
+    n: int = setting(count)
+    model: ModelSpec = setting(_model)
+    theta: tuple[float, ...] = setting(each(number))
+    columns: dict = setting(mapped(_column_spec), factory=dict)  # name -> column spec
+    missing: tuple[MissingSpec, ...] = setting(each(record(MissingSpec)), ())
+    seed: int = setting(count, 0)
+    burn_in: int | None = setting(count, None)
 
     def __post_init__(self):
         if self.n < 1:
@@ -171,42 +190,8 @@ def generate(
     return g, observed, MissingnessMask.of(observed), theta
 
 
-# the type field of a column spec: its class and the reader of each field
-_COLUMN_TYPES = {
-    "categorical": (CategoricalSpec, {"levels": names, "probs": each(number)}),
-    "continuous": (ContinuousSpec, {"mean": number, "sd": number}),
-}
-_TYPE_OF = {cls: kind for kind, (cls, _) in _COLUMN_TYPES.items()}
-
-
-def _column_spec(where: str, value) -> CategoricalSpec | ContinuousSpec:
-    obj = JsonObject(where, value)
-    kind = obj.get("type", text)
-    if kind not in _COLUMN_TYPES:
-        raise ConfigError(f"config {where}: unknown type {kind!r}")
-    return read_record(obj, *_COLUMN_TYPES[kind])
-
-
-def _missing_spec(where: str, value) -> MissingSpec:
-    readers = {
-        "column": text, "rate": number, "mechanism": text, "covariate": text, "slope": number
-    }
-    return read_record(JsonObject(where, value), MissingSpec, readers)
-
-
 def spec_from_dict(d: dict) -> SynthSpec:
-    top = JsonObject("", d)
-    spec = dict(
-        n=top.get("n", count),
-        columns=top.get("columns", mapped(_column_spec), {}),
-        model=checked("model", ModelSpec, top.get("model", each(read_term))),
-        theta=top.get("theta", each(number)),
-        missing=top.get("missing", each(_missing_spec), ()),
-        seed=top.get("seed", count, 0),
-        burn_in=top.get("burn_in", count, None),
-    )
-    top.close()
-    return SynthSpec(**spec)
+    return read_record(JsonObject("", d), SynthSpec)
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:

@@ -321,7 +321,7 @@ def test_criterion_7_imputation():
                     categorical("living", ["own", "rent", "street"], living),
                 ]
             )
-            res = impute_psm(table, "living", ["grp", "noise"], seed=seed)
+            res = impute_psm(table, "living", ["grp", "noise"])
             total += 1
             if (
                 res.diagnostics["donors"][i] == donor

@@ -151,6 +151,31 @@ class TestExitCodes:
         assert code == 4
         assert "node id 'a'" in err
 
+    def test_repeated_attribute_column_is_data_error(self, tmp_path, capsys):
+        make_dataset(tmp_path, missing_rate=0.0)
+        with open(tmp_path / "attrs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:2] == ["id", "sex"]
+        with open(tmp_path / "attrs.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([row[:2] + row[1:] for row in rows])
+        code, _, err = run_cli(capsys, "run", "--config", str(make_config(tmp_path)))
+        assert code == 4
+        assert "column 'sex' appears more than once" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "abc"])
+    def test_continuous_cell_not_a_finite_number_is_data_error(self, tmp_path, capsys, cell):
+        make_dataset(tmp_path, missing_rate=0.0)
+        with open(tmp_path / "attrs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        age = rows[0].index("age")
+        rows[3][age] = cell
+        with open(tmp_path / "attrs.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code, _, err = run_cli(capsys, "run", "--config", str(make_config(tmp_path)))
+        assert code == 4
+        assert f"column 'age': node '{rows[3][0]}' has '{cell}', not a finite number" in err
+        assert not (tmp_path / "out" / "attribute_summary.json").exists()
+
     def test_bad_config_value(self, tmp_path, capsys):
         make_dataset(tmp_path, missing_rate=0.0)
         cfg = json.loads(Path(make_config(tmp_path)).read_text())
@@ -638,6 +663,24 @@ class TestPipelineCommands:
         completed = (tmp_path / "imp" / "attributes_completed.csv").read_text()
         for line in completed.splitlines()[1:]:
             assert line.split(",")[2] != ""  # living column completed
+
+    @pytest.mark.parametrize("policy", ["psm", "missforest"])
+    def test_impute_writes_the_imputation_json_of_run(self, tmp_path, capsys, policy):
+        make_dataset(tmp_path, missing_rate=0.2)
+        for command in ("impute", "run"):
+            path = make_config(
+                tmp_path,
+                missing_policy=policy,
+                imputation={"targets": ["living"], "trees": 10},
+                out=str(tmp_path / command),
+            )
+            code, _, err = run_cli(capsys, command, "--config", str(path))
+            assert code == 0, err
+        impute, run = [(tmp_path / c / "imputation.json").read_bytes() for c in ("impute", "run")]
+        assert impute == run
+        written = json.loads(impute)
+        assert written["policy"] == policy and written["targets"] == ["living"]
+        assert ("living" if policy == "psm" else "missforest") in written
 
     def test_run_recodes_raw_labels(self, tmp_path, capsys):
         make_raw_label_dataset(tmp_path)

@@ -36,7 +36,7 @@ def table_with_gaps(seed=0, n=60, missing_rate=0.2):
 class TestPsm:
     def test_no_missing_returns_input_unchanged(self):
         attrs, _, _ = table_with_gaps(missing_rate=0.0)
-        res = impute_psm(attrs, "living", ["sex", "age"], seed=1)
+        res = impute_psm(attrs, "living", ["sex", "age"])
         assert res.completed is attrs
         assert res.diagnostics["imputed"] == 0
 
@@ -56,7 +56,7 @@ class TestPsm:
                 categorical("living", ["own", "rent"], living),
             ]
         )
-        res = impute_psm(attrs, "living", ["sex", "age"], seed=0)
+        res = impute_psm(attrs, "living", ["sex", "age"])
         assert res.diagnostics["donors"][7] == 2
         assert res.completed["living"].labels()[7] == "own"
 
@@ -68,7 +68,7 @@ class TestPsm:
             ]
         )
         with pytest.raises(AllMissing):
-            impute_psm(attrs, "living", ["sex"], seed=0)
+            impute_psm(attrs, "living", ["sex"])
 
     def test_covariate_with_missing_rejected(self):
         attrs = AttributeTable(
@@ -78,7 +78,7 @@ class TestPsm:
             ]
         )
         with pytest.raises(CovariateMissing):
-            impute_psm(attrs, "living", ["sex"], seed=0)
+            impute_psm(attrs, "living", ["sex"])
 
     def test_perfectly_predicted_missingness_degenerate(self):
         # missing exactly when sex is f: complete separation
@@ -91,11 +91,11 @@ class TestPsm:
             ]
         )
         with pytest.raises(PropensityDegenerate):
-            impute_psm(attrs, "living", ["sex"], seed=0)
+            impute_psm(attrs, "living", ["sex"])
 
     def test_donor_map_covers_all_imputed_cells(self):
         attrs, _, gaps = table_with_gaps(seed=5)
-        res = impute_psm(attrs, "living", ["sex", "age"], seed=0)
+        res = impute_psm(attrs, "living", ["sex", "age"])
         missing_idx = set(np.flatnonzero(gaps).tolist())
         assert set(res.diagnostics["donors"]) == missing_idx
         for i, donor in res.diagnostics["donors"].items():
@@ -107,15 +107,15 @@ class TestPsm:
 
     def test_observed_cells_bit_identical(self):
         attrs, _, gaps = table_with_gaps(seed=6)
-        res = impute_psm(attrs, "living", ["sex", "age"], seed=0)
+        res = impute_psm(attrs, "living", ["sex", "age"])
         before = attrs["living"].codes
         after = res.completed["living"].codes
         np.testing.assert_array_equal(before[~gaps], after[~gaps])
 
     def test_deterministic(self):
         attrs, _, _ = table_with_gaps(seed=7)
-        a = impute_psm(attrs, "living", ["sex", "age"], seed=3)
-        b = impute_psm(attrs, "living", ["sex", "age"], seed=3)
+        a = impute_psm(attrs, "living", ["sex", "age"])
+        b = impute_psm(attrs, "living", ["sex", "age"])
         assert a.completed == b.completed
         assert a.diagnostics["donors"] == b.diagnostics["donors"]
 

@@ -256,8 +256,9 @@ class TestRunConfig:
 
     def test_sampler_seed_is_the_run_seed(self):
         config = RunConfig(edges="e", attributes="a", schema="s", seed=5)
-        assert config.sampler.seed == 5
-        assert replace(config, seed=7).sampler.seed == 7
+        assert config.sampler().seed == 5
+        assert replace(config, seed=7).sampler().seed == 7
+        assert config.sampler(gof=True).seed == 6
         parsed = config_from_dict({"edges": "e", "attributes": "a", "schema": "s", "seed": 5})
         assert parsed == config
 

@@ -6,14 +6,16 @@ from __future__ import annotations
 import ast
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import ergmkit
-from ergmkit.dataio import load_schema
-from ergmkit.pipeline import config_from_dict
-from ergmkit.synth import spec_from_dict
+from ergmkit.dataio import ColumnSchema, Schema, load_schema
+from ergmkit.model import TERM_KINDS
+from ergmkit.pipeline import FitConfig, ImputationConfig, RunConfig, config_from_dict
+from ergmkit.synth import CategoricalSpec, ContinuousSpec, MissingSpec, SynthSpec, spec_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,6 +31,18 @@ READERS = {
     "Data formats": _load_schema,
     "Run configuration": lambda doc, tmp_path: config_from_dict(doc),
     "Synthetic data specification": lambda doc, tmp_path: spec_from_dict(doc),
+}
+
+
+# the README heading that documents a format -> the records its JSON objects are
+# read as, and the keys read before the record (a term's kind, a column's type)
+RECORDS = {
+    "Data formats": ([Schema, ColumnSchema], ["type"]),
+    "Run configuration": ([RunConfig, FitConfig, ImputationConfig, *TERM_KINDS.values()], ["term"]),
+    "Synthetic data specification": (
+        [SynthSpec, CategoricalSpec, ContinuousSpec, MissingSpec],
+        ["type"],
+    ),
 }
 
 
@@ -72,6 +86,21 @@ def test_readme_has_every_format():
 )
 def test_json_block_parses(heading, text, tmp_path):
     READERS[heading](json.loads(text), tmp_path)
+
+
+@pytest.mark.parametrize("heading", sorted(RECORDS))
+def test_every_key_is_documented(heading):
+    """Each key a record's reader accepts is named, as "key" or `key`, in its section."""
+    records, read_first = RECORDS[heading]
+    keys = read_first + [f.name for cls in records for f in fields(cls) if "read" in f.metadata]
+    text = section(heading)
+    assert [k for k in keys if f'"{k}"' not in text and f"`{k}`" not in text] == []
+
+
+def test_every_term_kind_and_mechanism_is_documented():
+    assert [k for k in TERM_KINDS if f'"{k}"' not in section("Run configuration")] == []
+    synth = section("Synthetic data specification")
+    assert '"mcar"' in synth and '"mar"' in synth
 
 
 def test_library_example_runs(capsys):
