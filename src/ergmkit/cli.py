@@ -19,6 +19,8 @@ from .dataio import (
     read_edge_csv,
     write_attribute_csv,
     write_edge_csv,
+    write_json,
+    write_result,
     write_schema,
 )
 from .errors import ConfigError, ErgmkitError
@@ -52,8 +54,7 @@ def _cmd_stats(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "network_summary.csv").write_text(ns.to_csv(), encoding="utf-8")
-        (outdir / "network_summary.json").write_text(ns.to_json() + "\n", encoding="utf-8")
+        write_result(outdir, "network_summary", ns)
     return 0
 
 
@@ -142,9 +143,7 @@ def _cmd_synth(args) -> int:
         "nodes": g.n,
         "edges": g.edge_count,
     }
-    (outdir / "truth.json").write_text(
-        json.dumps(truth, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(outdir / "truth.json", truth)
     # a matching schema so the dataset can feed the pipeline directly
     write_schema(outdir / "schema.json", attrs)
     print(json.dumps({"out": str(outdir), "nodes": g.n, "edges": g.edge_count}, sort_keys=True))

@@ -1,5 +1,6 @@
-"""File formats: edge list CSV, node attribute CSV, the schema sidecar, and
-the typed readers every JSON input goes through.
+"""File formats: edge list CSV, node attribute CSV, the schema sidecar, the
+typed readers every JSON input goes through, and the writers of every
+output table.
 
 Edge lists are two-column CSVs with a ``source,target`` header. Attribute
 files put ids in the first column and one attribute per remaining column;
@@ -15,14 +16,20 @@ A reader takes the field's dotted path (``where``) and its decoded JSON
 value, and returns the value typed or raises a ConfigError naming the
 field. A key that no reader reads is an error too, so a misspelt setting
 cannot silently take its default.
+
+An output table's rows are dataclasses too: each field written is a
+``column``, which declares its CSV header and JSON key, and ``table_csv``
+and ``table_json`` write the rows from those declarations.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -141,6 +148,75 @@ def record_dict(rec) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
+def column(csv: str | None = None, json: str | None = None):
+    """A row dataclass field that ``table_csv`` heads ``csv`` and
+    ``table_json`` keys ``json``, each the field's name when not given."""
+    return field(metadata={"csv": csv, "json": json})
+
+
+def table_columns(cls) -> list[tuple[str, str, str]]:
+    """(field name, CSV header, JSON key) of each ``column`` field of ``cls``, in order."""
+    return [
+        (f.name, f.metadata["csv"] or f.name, f.metadata["json"] or f.name)
+        for f in fields(cls)
+        if "csv" in f.metadata
+    ]
+
+
+def csv_text(header, rows) -> str:
+    """A header line and one line per row. A cell is quoted only when it
+    holds a comma, a double quote or a newline; None is an empty cell and a
+    float is written as its repr."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def table_csv(cls, rows) -> str:
+    """``rows``, instances of the dataclass ``cls``, as CSV: one column per
+    ``column`` field, headed even when there are no rows."""
+    columns = table_columns(cls)
+    return csv_text(
+        [header for _, header, _ in columns],
+        ([getattr(r, name) for name, _, _ in columns] for r in rows),
+    )
+
+
+def table_json(cls, rows) -> list[dict]:
+    """``rows``, instances of the dataclass ``cls``, as JSON objects keyed by
+    their ``column`` fields' JSON keys."""
+    columns = table_columns(cls)
+    return [{key: getattr(r, name) for name, _, key in columns} for r in rows]
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return obj
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON indented by 2 with sorted keys, numpy scalars and
+    arrays written as numbers and lists."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def write_result(outdir: Path, name: str, result) -> None:
+    """A result's table as ``name.csv`` and its JSON document, on one line,
+    as ``name.json``."""
+    (outdir / f"{name}.csv").write_text(result.to_csv(), encoding="utf-8")
+    (outdir / f"{name}.json").write_text(result.to_json() + "\n", encoding="utf-8")
+
+
 class JsonObject:
     """A JSON object at path ``where`` ("" at the top level), read field by
     field; ``close`` rejects the keys no field read asked for."""
@@ -189,6 +265,9 @@ class ColumnSchema:
             raise ConfigError(f"column {self.name!r}: categorical needs levels")
         if len(set(self.levels)) != len(self.levels):
             raise ConfigError(f"column {self.name!r}: duplicate levels {list(self.levels)}")
+        if any("\r" in t for t in (self.name, *self.levels)):
+            # csv_text quotes a newline, not a carriage return
+            raise ConfigError(f"column {self.name!r}: a name or level holds a carriage return")
 
 
 def _columns(where: str, value) -> tuple[ColumnSchema, ...]:
@@ -372,6 +451,4 @@ def write_schema(path, attrs: AttributeTable) -> None:
             refs[col.name] = col.levels[0]
         else:
             columns[col.name] = {"type": "continuous", "units": col.units}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"columns": columns, "reference_levels": refs}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, {"columns": columns, "reference_levels": refs})

@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .dataio import column, csv_text, table_csv, table_json
 from .errors import (
     ConfigError,
     Degeneracy,
@@ -34,7 +36,7 @@ from .errors import (
 from .graph import AttributeTable, Graph
 from .logistic import collinear_terms, fit_logistic, sigmoid
 from .model import CompiledModel, Edges, ModelSpec, TermSpec, dyad_endpoints, term_to_dict
-from .sampler import SamplerConfig, simulate, simulation_counters, write_stats_trace
+from .sampler import SamplerConfig, simulate, simulation_counters
 
 Z_95 = 1.959964
 _MAX_OUTER = 20  # MC-MLE rounds before NonConvergence
@@ -42,14 +44,14 @@ _MAX_OUTER = 20  # MC-MLE rounds before NonConvergence
 
 @dataclass(frozen=True)
 class OrRow:
-    term: str
-    estimate: float
-    se: float
-    odds_ratio: float
-    ci_low: float
-    ci_high: float
-    p_value: float
-    stars: str
+    term: str = column()
+    estimate: float = column()
+    se: float = column(csv="SE")
+    odds_ratio: float = column(csv="OR", json="or")
+    ci_low: float = column()
+    ci_high: float = column()
+    p_value: float = column(csv="p", json="p")
+    stars: str = column()
 
 
 @dataclass(frozen=True)
@@ -70,41 +72,13 @@ class FitResult:
             "theta": [float(v) for v in self.theta],
             "stat_names": list(self.stat_names),
             "covariance": [[float(v) for v in row] for row in self.covariance],
-            "table": [
-                {
-                    "term": r.term,
-                    "estimate": r.estimate,
-                    "se": r.se,
-                    "or": r.odds_ratio,
-                    "ci_low": r.ci_low,
-                    "ci_high": r.ci_high,
-                    "p": r.p_value,
-                    "stars": r.stars,
-                }
-                for r in self.rows
-            ],
+            "table": table_json(OrRow, self.rows),
             "diagnostics": self.diagnostics,
         }
         return json.dumps(payload, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = ["term,estimate,SE,OR,ci_low,ci_high,p,stars"]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.term,
-                        repr(r.estimate),
-                        repr(r.se),
-                        repr(r.odds_ratio),
-                        repr(r.ci_low),
-                        repr(r.ci_high),
-                        repr(r.p_value),
-                        r.stars,
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return table_csv(OrRow, self.rows)
 
 
 def _stars(p: float) -> str:
@@ -337,16 +311,13 @@ def fit_counters(result: FitResult) -> dict:
 
 @dataclass(frozen=True)
 class GofRow:
-    name: str
-    observed: float
-    sim_mean: float
-    lo: float
-    hi: float
-    p_value: float
-
-    @property
-    def in_band(self) -> bool:
-        return self.lo <= self.observed <= self.hi
+    name: str = column()
+    observed: float = column()
+    sim_mean: float = column()
+    lo: float = column()
+    hi: float = column()
+    p_value: float = column(csv="p", json="p")
+    in_band: bool = column()  # lo <= observed <= hi
 
 
 @dataclass(frozen=True)
@@ -369,61 +340,34 @@ class GofReport:
         )
 
     def to_json(self) -> str:
-        def rows(rs):
-            return [
-                {
-                    "name": r.name,
-                    "observed": r.observed,
-                    "sim_mean": r.sim_mean,
-                    "lo": r.lo,
-                    "hi": r.hi,
-                    "p": r.p_value,
-                    "in_band": r.in_band,
-                }
-                for r in rs
-            ]
-
         return json.dumps(
             {
-                "model_statistics": rows(self.stat_rows),
-                "degree_distribution": rows(self.degree_rows),
-                "auxiliary_statistics": rows(self.aux_rows),
+                "model_statistics": table_json(GofRow, self.stat_rows),
+                "degree_distribution": table_json(GofRow, self.degree_rows),
+                "auxiliary_statistics": table_json(GofRow, self.aux_rows),
                 "no_lack_of_fit": self.no_lack_of_fit,
             },
             sort_keys=True,
         )
 
     def to_csv(self) -> str:
-        lines = ["name,observed,sim_mean,lo,hi,p,in_band"]
-        for r in self.stat_rows + self.degree_rows + self.aux_rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.name,
-                        repr(r.observed),
-                        repr(r.sim_mean),
-                        repr(r.lo),
-                        repr(r.hi),
-                        repr(r.p_value),
-                        str(r.in_band),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return table_csv(GofRow, self.stat_rows + self.degree_rows + self.aux_rows)
 
 
 def _gof_row(name: str, observed: float, sims: np.ndarray) -> GofRow:
-    lo, hi = np.percentile(sims, [2.5, 97.5])
+    lo, hi = (float(q) for q in np.percentile(sims, [2.5, 97.5]))
+    observed = float(observed)
     pl = float(np.mean(sims <= observed))
     pg = float(np.mean(sims >= observed))
     p = min(1.0, 2.0 * min(pl, pg))
     return GofRow(
         name=name,
-        observed=float(observed),
+        observed=observed,
         sim_mean=float(sims.mean()),
-        lo=float(lo),
-        hi=float(hi),
+        lo=lo,
+        hi=hi,
         p_value=p,
+        in_band=lo <= observed <= hi,
     )
 
 
@@ -449,13 +393,11 @@ def gof(
     Only these rows build a ``Graph`` per draw. ``trace_path`` writes the
     retained statistic vectors as a CSV for mixing diagnostics.
     """
-    if cfg.sample_count < 1:
-        raise ConfigError("goodness-of-fit needs at least one simulated network")
     cm = CompiledModel(model, attrs, g.n)
     obs = cm.statistics(g)
     draws, S = simulate(g, theta, model, attrs, cfg)
     if trace_path is not None:
-        write_stats_trace(trace_path, cm.stat_names, S)
+        Path(trace_path).write_text(csv_text(cm.stat_names, S.tolist()), encoding="utf-8")
     stat_rows = tuple(
         _gof_row(cm.stat_names[k], obs[k], S[:, k]) for k in range(cm.p)
     )

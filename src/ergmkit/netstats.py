@@ -11,11 +11,12 @@ degree variance over endpoints is zero).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .dataio import column, table_csv, table_json
 from .errors import EmptyGraph, NoEdges, TooFewNodes
 from .graph import Graph
 
@@ -104,33 +105,22 @@ def degree_assortativity(g: Graph) -> Optional[float]:
 
 @dataclass(frozen=True)
 class NetworkSummary:
-    node_count: int
-    edge_count: int
-    density: float
-    transitivity: float
-    average_degree: float
-    degree_sd: float
-    mean_betweenness: Optional[float]
-    degree_assortativity: Optional[float]
+    """One row, its columns in the published table's order."""
+
+    node_count: int = column()
+    edge_count: int = column()
+    degree_assortativity: Optional[float] = column(csv="assortativity")
+    transitivity: float = column()
+    average_degree: float = column()
+    degree_sd: float = column()
+    mean_betweenness: Optional[float] = column()
+    density: float = column()
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(table_json(NetworkSummary, [self])[0], sort_keys=True)
 
     def to_csv(self) -> str:
-        """Header plus one row, fields in the published table's order."""
-        fields = [
-            ("node_count", self.node_count),
-            ("edge_count", self.edge_count),
-            ("assortativity", self.degree_assortativity),
-            ("transitivity", self.transitivity),
-            ("average_degree", self.average_degree),
-            ("degree_sd", self.degree_sd),
-            ("mean_betweenness", self.mean_betweenness),
-            ("density", self.density),
-        ]
-        header = ",".join(name for name, _ in fields)
-        row = ",".join("" if v is None else repr(v) for _, v in fields)
-        return header + "\n" + row + "\n"
+        return table_csv(NetworkSummary, [self])
 
 
 def network_summary(g: Graph) -> NetworkSummary:

@@ -24,6 +24,7 @@ from .dataio import (
     Schema,
     checked,
     count,
+    csv_text,
     each,
     flag,
     load_network,
@@ -35,6 +36,8 @@ from .dataio import (
     record,
     setting,
     text,
+    write_json,
+    write_result,
 )
 from .errors import ConfigError, ErgmkitError
 from .fit import (
@@ -81,16 +84,12 @@ def summarize_attributes(attrs: AttributeTable) -> dict:
     out: dict = {"n": n, "columns": {}}
     for col in attrs.columns():
         if isinstance(col, CategoricalColumn):
-            rows = []
-            for k, lev in enumerate(col.levels):
-                count = int(np.sum(col.codes == k))
-                rows.append(
-                    {"level": lev, "count": count, "percent": 100.0 * count / n if n else 0.0}
-                )
-            miss = int(col.missing_mask().sum())
-            rows.append(
-                {"level": "Missing", "count": miss, "percent": 100.0 * miss / n if n else 0.0}
-            )
+            counts = [int(np.sum(col.codes == k)) for k in range(len(col.levels))]
+            counts.append(int(col.missing_mask().sum()))
+            rows = [
+                {"level": level, "count": c, "percent": 100.0 * c / n if n else 0.0}
+                for level, c in zip([*col.levels, "Missing"], counts)
+            ]
             out["columns"][col.name] = {"type": "categorical", "rows": rows}
         else:
             obs = col.values[~col.missing_mask()]
@@ -105,19 +104,14 @@ def summarize_attributes(attrs: AttributeTable) -> dict:
 
 
 def attribute_summary_csv(summary: dict) -> str:
-    lines = ["column,label,value1,value2"]
+    rows = []
     for name, info in summary["columns"].items():
         if info["type"] == "categorical":
-            for row in info["rows"]:
-                lines.append(
-                    f"{name},{row['level']},{row['count']},{repr(row['percent'])}"
-                )
+            rows += [[name, r["level"], r["count"], r["percent"]] for r in info["rows"]]
         else:
-            mean = "" if info["mean"] is None else repr(info["mean"])
-            sd = "" if info["sd"] is None else repr(info["sd"])
-            lines.append(f"{name},mean_sd,{mean},{sd}")
-            lines.append(f"{name},Missing,{info['missing']},")
-    return "\n".join(lines) + "\n"
+            rows.append([name, "mean_sd", info["mean"], info["sd"]])
+            rows.append([name, "Missing", info["missing"], None])
+    return csv_text(["column", "label", "value1", "value2"], rows)
 
 
 @dataclass(frozen=True)
@@ -144,9 +138,11 @@ class FitConfig:
     def __post_init__(self):
         if self.method not in ("mple", "mcmle"):
             raise ConfigError("method must be mple or mcmle")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
         if self.gof_samples < 1:
             raise ConfigError("gof_samples must be >= 1")
-        SamplerConfig(self.burn_in, self.thin, self.samples)  # checks the chain controls
+        SamplerConfig(self.burn_in, self.thin)  # checks burn_in and thin
 
 
 def _gwdegree(where: str, value) -> GwDegree:
@@ -239,28 +235,6 @@ def build_family_terms(
     return terms
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
-def _write_json(path: Path, obj) -> None:
-    _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
-
-
 def _require_columns(attrs: AttributeTable, key: str, names) -> None:
     """Raise a ConfigError naming ``key`` for the first name that is not a column."""
     for name in names:
@@ -295,7 +269,7 @@ def impute_attributes(
             res = impute_missforest(attrs, targets, covs, forest=config.imputation, seed=config.seed)
             attrs = res.completed
             diag["missforest"] = res.diagnostics
-    _write_json(outdir / "imputation.json", diag)
+    write_json(outdir / "imputation.json", diag)
     return attrs
 
 
@@ -318,7 +292,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
     try:
         stage = "ingest"
         schema = load_schema(config.schema)
-        g, attrs, ids = load_network(config.edges, config.attributes, schema)
+        g, attrs, _ = load_network(config.edges, config.attributes, schema)
         summary["stages"]["ingest"] = {"nodes": g.n, "edges": g.edge_count}
         source, modeled = "attributes_used", tuple(config.attributes_used)
         if config.family == "final" and config.final_candidates:
@@ -329,8 +303,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
 
         stage = "scope"
         if config.scope == "lcc":
-            g, attrs, keep = largest_connected_component(g, attrs)
-            ids = [ids[k] for k in keep]
+            g, attrs, _ = largest_connected_component(g, attrs)
         summary["stages"]["scope"] = {
             "scope": config.scope,
             "nodes": g.n,
@@ -338,16 +311,17 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
         }
 
         stage = "netstats"
-        ns = network_summary(g)
-        _write(outdir / "network_summary.csv", ns.to_csv())
-        _write(outdir / "network_summary.json", ns.to_json() + "\n")
+        write_result(outdir, "network_summary", network_summary(g))
 
         stage = "attribute_summary"
         attr_summary = summarize_attributes(attrs)
-        _write_json(outdir / "attribute_summary.json", attr_summary)
-        _write(outdir / "attribute_summary.csv", attribute_summary_csv(attr_summary))
+        write_json(outdir / "attribute_summary.json", attr_summary)
+        (outdir / "attribute_summary.csv").write_text(
+            attribute_summary_csv(attr_summary), encoding="utf-8"
+        )
 
         stage = "missing_policy"
+        policy: dict = {"policy": config.missing_policy}
         if config.missing_policy == "complete_case":
             drop_mask = np.zeros(attrs.n, dtype=bool)
             for name in modeled:
@@ -355,23 +329,13 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             keep_idx = np.flatnonzero(~drop_mask)
             g = induced_subgraph(g, keep_idx)
             attrs = attrs.subset(keep_idx)
-            ids = [ids[k] for k in keep_idx]
-            summary["stages"]["missing_policy"] = {
-                "policy": config.missing_policy,
-                "dropped": int(drop_mask.sum()),
-                "nodes": g.n,
-                "edges": g.edge_count,
-            }
+            policy["dropped"] = int(drop_mask.sum())
         else:
             targets = list(config.imputation.targets) or [
                 name for name in modeled if attrs[name].missing_mask().any()
             ]
             attrs = impute_attributes(attrs, targets, config, outdir)
-            summary["stages"]["missing_policy"] = {
-                "policy": config.missing_policy,
-                "nodes": g.n,
-                "edges": g.edge_count,
-            }
+        summary["stages"]["missing_policy"] = {**policy, "nodes": g.n, "edges": g.edge_count}
 
         stage = "model"
         if config.family == "final":
@@ -380,7 +344,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             )
             screen = screen_univariate(g, attrs, candidates, alpha=config.fit.screen_alpha)
             report.screen = screen
-            _write(outdir / "screen.json", screen.to_json() + "\n")
+            (outdir / "screen.json").write_text(screen.to_json() + "\n", encoding="utf-8")
             terms = list(screen.selected)
         else:
             terms = build_family_terms(config.family, modeled, schema, attrs)
@@ -389,9 +353,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             model_terms.append(config.gwdegree)
         model = ModelSpec(model_terms)
         CompiledModel(model, attrs, g.n)  # fail here, not mid-fit
-        _write_json(
-            outdir / "model.json", {"terms": [term_to_dict(t) for t in model.terms]}
-        )
+        write_json(outdir / "model.json", {"terms": [term_to_dict(t) for t in model.terms]})
 
         stage = "fit"
         if config.fit.method == "mcmle":
@@ -400,8 +362,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             fit_result = fit_mple(g, attrs, model)
         report.fit = fit_result
         summary["stages"]["fit"] = fit_counters(fit_result)
-        _write(outdir / f"fit_{config.family}.csv", fit_result.to_csv())
-        _write(outdir / f"fit_{config.family}.json", fit_result.to_json() + "\n")
+        write_result(outdir, f"fit_{config.family}", fit_result)
 
         if with_gof:
             stage = "gof"
@@ -416,8 +377,7 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             )
             report.gof = gof_report
             summary["stages"]["gof"] = simulation_counters(model, g.n, gof_cfg)
-            _write(outdir / "gof.csv", gof_report.to_csv())
-            _write(outdir / "gof.json", gof_report.to_json() + "\n")
+            write_result(outdir, "gof", gof_report)
             summary["no_lack_of_fit"] = gof_report.no_lack_of_fit
 
         stage = "manifest"
@@ -432,10 +392,10 @@ def run(config: RunConfig, with_gof: bool = True) -> RunReport:
             "fit_method": config.fit.method,
             "stages": summary["stages"],
         }
-        _write_json(outdir / "manifest.json", manifest)
+        write_json(outdir / "manifest.json", manifest)
         return report
     except Exception as exc:
-        _write(outdir / "FAILED", f"stage: {stage}\nerror: {exc}\n")
+        (outdir / "FAILED").write_text(f"stage: {stage}\nerror: {exc}\n", encoding="utf-8")
         if isinstance(exc, ErgmkitError):
             raise
         raise ErgmkitError(f"stage {stage!r} failed: {exc}") from exc

@@ -338,11 +338,3 @@ def simulation_counters(model: ModelSpec, n: int, cfg: SamplerConfig) -> dict:
         "samples": cfg.sample_count,
         "proposals": 0 if exact else cfg.proposals(n),
     }
-
-
-def write_stats_trace(path, names: tuple[str, ...], stats: np.ndarray) -> None:
-    """One CSV row per retained sample, for mixing diagnostics."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in stats:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -340,6 +340,7 @@ class TestExitCodes:
                 id="imputation-unknown-key",
             ),
             pytest.param({"sead": 3}, "config top level: unknown key 'sead'", id="top-unknown-key"),
+            pytest.param({"fit": {"samples": 0}}, "config fit: samples must be >= 1", id="samples-zero"),
         ],
     )
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, overrides, named):

@@ -1,21 +1,29 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergmkit.dataio import (
     load_network,
     load_schema,
     read_attribute_csv,
     read_edge_csv,
+    table_columns,
+    table_csv,
+    table_json,
     write_attribute_csv,
     write_edge_csv,
 )
 from ergmkit.errors import ConfigError, DataError, UnknownLevel, UnmappedLabel
+from ergmkit.fit import GofRow, OrRow
 from ergmkit.graph import AttributeTable, categorical, continuous
 from ergmkit.model import Edges, ModelSpec, NodeMatch
 from ergmkit.pipeline import (
@@ -431,3 +439,80 @@ class TestRun:
         assert fit["method"] == "MPLE" and fit["iterations"] >= 1
         assert fit["dyads"] == n * (n - 1) // 2
         assert 1 <= fit["blocks"] <= 21  # sex x living: at most 6 groups
+
+
+def read_csv(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+# a level with a comma and one with double quotes, reached through the recode map
+COMMA, QUOTED = "own, with family", 'someone else\'s "shared" place'
+
+
+class TestOutputTables:
+    @pytest.mark.parametrize("family", ["match", "factor", "mix"])
+    def test_labels_with_commas_and_quotes_keep_every_csv_rectangular(self, tmp_path, family):
+        make_dataset(tmp_path)
+        schema = json.loads((tmp_path / "schema.json").read_text())
+        schema["columns"]["living"]["levels"] = [COMMA, QUOTED, "homeless"]
+        schema["recode"] = {"living": {"own": COMMA, "other": QUOTED}}
+        schema["reference_levels"]["living"] = "homeless"
+        schema["reference_pairs"]["living"] = [QUOTED, COMMA]
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        run(load_config(make_config(tmp_path, family=family, fit={"gof_samples": 20, "trace": True})))
+        out = tmp_path / "out"
+        written = sorted(p.name for p in out.glob("*.csv"))
+        tables = ["attribute_summary", f"fit_{family}", "gof", "gof_trace", "network_summary"]
+        assert written == [f"{t}.csv" for t in tables]
+        for name in written:
+            header, *rows = read_csv((out / name).read_text())
+            assert rows and [len(r) for r in rows] == [len(header)] * len(rows), name
+        terms = [r[0] for r in read_csv((out / f"fit_{family}.csv").read_text())[1:]]
+        assert terms == json.loads((out / f"fit_{family}.json").read_text())["stat_names"]
+        assert any(COMMA in t for t in terms) and any(QUOTED in t for t in terms)
+        assert any(QUOTED in name for name in read_csv((out / "gof_trace.csv").read_text())[0])
+        labels = [r[1] for r in read_csv((out / "attribute_summary.csv").read_text())[1:]]
+        assert COMMA in labels and QUOTED in labels
+
+    def test_a_carriage_return_in_a_level_is_config_error(self, tmp_path):
+        column = {"type": "categorical", "levels": ["a\rb"]}
+        (tmp_path / "schema.json").write_text(json.dumps({"columns": {"c": column}}))
+        with pytest.raises(ConfigError, match="carriage return"):
+            load_schema(tmp_path / "schema.json")
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)  # nan reads back as nan
+
+
+# the schema rejects a carriage return in a name or level, so no table cell holds one
+_CELL = {
+    "str": st.text(st.characters(exclude_characters="\r", exclude_categories=("Cs",))),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "bool": st.booleans(),
+}
+_PARSE = {"str": str, "float": float, "bool": {"True": True, "False": False}.__getitem__}
+
+
+def _rows(cls):
+    return st.lists(st.builds(cls, **{f.name: _CELL[f.type] for f in fields(cls)}), max_size=4)
+
+
+class TestTableWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("cls", [OrRow, GofRow])
+    def test_csv_and_json_give_back_every_cell(self, cls, data):
+        rows = data.draw(_rows(cls))
+        columns = table_columns(cls)
+        header, *parsed = read_csv(table_csv(cls, rows))
+        assert header == [h for _, h, _ in columns]
+        assert len(parsed) == len(rows)
+        docs = json.loads(json.dumps(table_json(cls, rows)))
+        assert [list(d) for d in docs] == [[k for _, _, k in columns]] * len(rows)
+        types = {f.name: f.type for f in fields(cls)}
+        for row, cells, doc in zip(rows, parsed, docs):
+            for (name, _, key), cell in zip(columns, cells):
+                value = getattr(row, name)
+                assert _same(_PARSE[types[name]](cell), value)
+                assert _same(doc[key], value)

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import ergmkit
-from ergmkit.dataio import ColumnSchema, Schema, load_schema
+from ergmkit.dataio import ColumnSchema, Schema, load_schema, table_columns
+from ergmkit.fit import GofRow, OrRow
 from ergmkit.model import TERM_KINDS
+from ergmkit.netstats import NetworkSummary
 from ergmkit.pipeline import FitConfig, ImputationConfig, RunConfig, config_from_dict
 from ergmkit.synth import CategoricalSpec, ContinuousSpec, MissingSpec, SynthSpec, spec_from_dict
 
@@ -101,6 +103,17 @@ def test_every_term_kind_and_mechanism_is_documented():
     assert [k for k in TERM_KINDS if f'"{k}"' not in section("Run configuration")] == []
     synth = section("Synthetic data specification")
     assert '"mcar"' in synth and '"mar"' in synth
+
+
+@pytest.mark.parametrize("cls", [OrRow, GofRow, NetworkSummary], ids=lambda c: c.__name__)
+def test_every_output_column_is_documented(cls):
+    """A table's CSV header line, in column order, and each of its JSON keys,
+    as `key`, are in the Outputs section."""
+    text = section("Outputs")
+    columns = table_columns(cls)
+    header = ",".join(h for _, h, _ in columns)
+    assert f"`{header}`" in text
+    assert [k for _, _, k in columns if f"`{k}`" not in text] == []
 
 
 def test_library_example_runs(capsys):
