@@ -23,7 +23,7 @@ from .netstats import network_summary
 from .sampler import SamplerConfig, simulate
 from .fit import FitResult, fit_mcmle, fit_mple, gof, screen_univariate
 from .forest import ForestConfig
-from .imputation import ImputationResult, MissingnessMask, impute_missforest, impute_psm
+from .imputation import ImputationResult, impute_missforest, impute_psm
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "Graph",
     "GwDegree",
     "ImputationResult",
-    "MissingnessMask",
     "ModelSpec",
     "NodeFactor",
     "NodeMatch",

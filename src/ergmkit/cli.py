@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .dataio import (
+    json_text,
     load_network,
     load_schema,
     read_attribute_csv,
@@ -76,11 +77,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     report = run(config)
-    print(
-        json.dumps(
-            {"out": str(report.outdir), "summary": report.summary}, sort_keys=True
-        )
-    )
+    print(json_text({"out": str(report.outdir), "summary": report.summary}))
     return 0
 
 
@@ -122,7 +119,7 @@ def _cmd_impute(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     attrs = impute_attributes(attrs, targets, config, outdir)
     write_attribute_csv(outdir / "attributes_completed.csv", attrs, ids)
-    print(json.dumps({"out": str(outdir), "imputed_columns": targets}, sort_keys=True))
+    print(json_text({"out": str(outdir), "imputed_columns": targets}))
     return 0
 
 
@@ -131,7 +128,7 @@ def _cmd_synth(args) -> int:
         spec = spec_from_dict(json.load(fh))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    g, attrs, mask, theta = generate(spec)
+    g, attrs, theta = generate(spec)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_edge_csv(outdir / "edges.csv", g)
@@ -139,14 +136,14 @@ def _cmd_synth(args) -> int:
     truth = {
         "spec": spec_to_dict(spec),
         "theta": [float(v) for v in theta],
-        "missing_counts": {k: int(v.sum()) for k, v in mask.masks.items()},
+        "missing_counts": {name: int(attrs[name].missing_mask().sum()) for name in attrs.names},
         "nodes": g.n,
         "edges": g.edge_count,
     }
     write_json(outdir / "truth.json", truth)
     # a matching schema so the dataset can feed the pipeline directly
     write_schema(outdir / "schema.json", attrs)
-    print(json.dumps({"out": str(outdir), "nodes": g.n, "edges": g.edge_count}, sort_keys=True))
+    print(json_text({"out": str(outdir), "nodes": g.n, "edges": g.edge_count}))
     return 0
 
 

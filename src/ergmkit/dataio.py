@@ -198,16 +198,20 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
+def json_text(obj, indent: int | None = None) -> str:
+    """``obj`` as JSON (RFC 8259) with sorted keys: numpy scalars and arrays
+    written as numbers and lists, and a NaN or an infinity as null."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
 def write_json(path, obj) -> None:
-    """``obj`` as JSON indented by 2 with sorted keys, numpy scalars and
-    arrays written as numbers and lists."""
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    """``obj`` as ``json_text`` indented by 2."""
+    Path(path).write_text(json_text(obj, indent=2) + "\n", encoding="utf-8")
 
 
 def write_result(outdir: Path, name: str, result) -> None:
@@ -357,6 +361,8 @@ def read_attribute_csv(path) -> tuple[list[str], dict[str, list[str | None]]]:
                 values[name].append(cell if cell != "" else None)
     if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate node ids")
+    if any("\r" in i for i in ids):  # csv_text quotes a newline, not a carriage return
+        raise DataError(f"{path}: a node id holds a carriage return")
     return ids, values
 
 
@@ -414,28 +420,24 @@ def load_network(
 
 def write_edge_csv(path, g: Graph) -> None:
     """Edges with node indices as ids, as ``write_attribute_csv`` writes without ids."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target"])
-        for i, j in sorted(g.edges):
-            writer.writerow([str(i), str(j)])
+    rows = ([str(i), str(j)] for i, j in sorted(g.edges))
+    Path(path).write_text(csv_text(["source", "target"], rows), encoding="utf-8")
 
 
 def write_attribute_csv(path, attrs: AttributeTable, ids: list[str] | None = None) -> None:
     names = ids if ids is not None else [str(k) for k in range(attrs.n)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + list(attrs.names))
-        for row in range(attrs.n):
-            cells = [names[row]]
-            for col in attrs.columns():
-                if isinstance(col, CategoricalColumn):
-                    code = col.codes[row]
-                    cells.append("" if code < 0 else col.levels[code])
-                else:
-                    v = col.values[row]
-                    cells.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(cells)
+    rows = []
+    for row in range(attrs.n):
+        cells = [names[row]]
+        for col in attrs.columns():
+            if isinstance(col, CategoricalColumn):
+                code = col.codes[row]
+                cells.append("" if code < 0 else col.levels[code])
+            else:
+                v = col.values[row]
+                cells.append("" if np.isnan(v) else repr(float(v)))
+        rows.append(cells)
+    Path(path).write_text(csv_text(["id", *attrs.names], rows), encoding="utf-8")
 
 
 def write_schema(path, attrs: AttributeTable) -> None:

@@ -16,7 +16,6 @@ exponentiate the estimates, matching the published table semantics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataio import column, csv_text, table_csv, table_json
+from .dataio import column, csv_text, json_text, table_csv, table_json
 from .errors import (
     ConfigError,
     Degeneracy,
@@ -75,7 +74,7 @@ class FitResult:
             "table": table_json(OrRow, self.rows),
             "diagnostics": self.diagnostics,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json_text(payload)
 
     def to_csv(self) -> str:
         return table_csv(OrRow, self.rows)
@@ -340,14 +339,13 @@ class GofReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
                 "model_statistics": table_json(GofRow, self.stat_rows),
                 "degree_distribution": table_json(GofRow, self.degree_rows),
                 "auxiliary_statistics": table_json(GofRow, self.aux_rows),
                 "no_lack_of_fit": self.no_lack_of_fit,
-            },
-            sort_keys=True,
+            }
         )
 
     def to_csv(self) -> str:
@@ -440,7 +438,7 @@ class ScreenReport:
         return tuple(e.term for e in self.entries if e.selected)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
                 "alpha": self.alpha,
                 "entries": [
@@ -452,8 +450,7 @@ class ScreenReport:
                     }
                     for e in self.entries
                 ],
-            },
-            sort_keys=True,
+            }
         )
 
 

@@ -119,6 +119,17 @@ class CategoricalColumn:
     def labels(self) -> list[Union[str, None]]:
         return [None if c == MISSING_CODE else self.levels[c] for c in self.codes]
 
+    def numeric(self) -> np.ndarray:
+        """Level codes as a new float64 array, NaN where a cell is missing."""
+        return np.where(self.missing_mask(), np.nan, self.codes)
+
+    def with_numeric(self, values) -> "CategoricalColumn":
+        """This column's name and levels on the codes ``values`` holds as
+        ``numeric`` returns them."""
+        values = np.asarray(values, dtype=np.float64)
+        codes = np.where(np.isnan(values), MISSING_CODE, values).astype(np.int64)
+        return CategoricalColumn(self.name, self.levels, codes)
+
     def level_index(self, label: str) -> int:
         try:
             return self.levels.index(label)
@@ -149,6 +160,14 @@ class ContinuousColumn:
 
     def missing_mask(self) -> np.ndarray:
         return np.isnan(self.values)
+
+    def numeric(self) -> np.ndarray:
+        """The values as a new float64 array, NaN where a cell is missing."""
+        return self.values.copy()
+
+    def with_numeric(self, values) -> "ContinuousColumn":
+        """This column's name and units on ``values``."""
+        return ContinuousColumn(self.name, values, self.units)
 
 
 Column = Union[CategoricalColumn, ContinuousColumn]
@@ -219,28 +238,19 @@ class AttributeTable:
 
     def subset(self, index: np.ndarray) -> "AttributeTable":
         """New table with rows re-indexed by ``index`` (new row k = old row index[k])."""
-        out = []
-        for col in self._columns.values():
-            if isinstance(col, CategoricalColumn):
-                out.append(CategoricalColumn(col.name, col.levels, col.codes[index]))
-            else:
-                out.append(ContinuousColumn(col.name, col.values[index], col.units))
-        return AttributeTable(out)
+        return AttributeTable([c.with_numeric(c.numeric()[index]) for c in self._columns.values()])
 
     def __eq__(self, other) -> bool:
+        """Same column names in order, and per column the same type, levels
+        and cells, missing cells included."""
         if not isinstance(other, AttributeTable) or self.names != other.names:
             return False
-        for name in self.names:
-            a, b = self[name], other[name]
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, CategoricalColumn):
-                if a.levels != b.levels or not np.array_equal(a.codes, b.codes):
-                    return False
-            else:
-                if not np.array_equal(a.values, b.values, equal_nan=True):
-                    return False
-        return True
+        return all(
+            type(a) is type(b)
+            and getattr(a, "levels", None) == getattr(b, "levels", None)
+            and np.array_equal(a.numeric(), b.numeric(), equal_nan=True)
+            for a, b in zip(self.columns(), other.columns())
+        )
 
     def __repr__(self) -> str:
         return f"AttributeTable(n={self.n}, columns={list(self.names)})"

@@ -23,39 +23,18 @@ import numpy as np
 
 from .errors import AllMissing, ConfigError, CovariateMissing, PropensityDegenerate, Separation
 from .forest import ForestConfig, RandomForest
-from .graph import (
-    AttributeTable,
-    CategoricalColumn,
-    ContinuousColumn,
-    MISSING_CODE,
-)
+from .graph import AttributeTable, CategoricalColumn
 from .logistic import fit_logistic, sigmoid
 
 _MAX_ROUNDS = 10  # missForest rounds
 
 
 @dataclass(frozen=True)
-class MissingnessMask:
-    """Per-column boolean arrays, True where the cell was missing."""
-
-    masks: dict[str, np.ndarray]
-
-    @classmethod
-    def of(cls, attrs: AttributeTable) -> "MissingnessMask":
-        return cls({name: attrs[name].missing_mask().copy() for name in attrs.names})
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.masks[name]
-
-    def total(self) -> int:
-        return int(sum(m.sum() for m in self.masks.values()))
-
-
-@dataclass(frozen=True)
 class ImputationResult:
+    """The completed table and the imputer's diagnostics. The input table
+    is left as it was, so it still shows which cells were missing."""
+
     completed: AttributeTable
-    provenance: MissingnessMask
-    method: str
     diagnostics: dict
 
 
@@ -97,16 +76,10 @@ def impute_psm(
     """
     col = attrs[target]
     missing = col.missing_mask()
-    provenance = MissingnessMask.of(attrs)
     if (~missing).sum() == 0:
         raise AllMissing(f"target {target!r} has no observed cells")
     if missing.sum() == 0:
-        return ImputationResult(
-            completed=attrs,
-            provenance=provenance,
-            method="PSM",
-            diagnostics={"imputed": 0, "donors": {}},
-        )
+        return ImputationResult(completed=attrs, diagnostics={"imputed": 0, "donors": {}})
     X, names = _design_from_covariates(attrs, covariates)
     try:
         lf = fit_logistic(X, missing.astype(np.float64), names=names)
@@ -114,76 +87,20 @@ def impute_psm(
         raise PropensityDegenerate(str(exc)) from exc
     scores = sigmoid(X @ lf.beta)
     observed_idx = np.flatnonzero(~missing)
-    donors: dict[int, int] = {}
-    if isinstance(col, CategoricalColumn):
-        new_vals = col.codes.copy()
-    else:
-        new_vals = col.values.copy()
+    source = np.arange(attrs.n)  # the row each cell is copied from
     for i in np.flatnonzero(missing):
         gaps = np.abs(scores[observed_idx] - scores[i])
-        donor = int(observed_idx[int(np.argmin(gaps))])  # first occurrence wins
-        donors[int(i)] = donor
-        new_vals[i] = new_vals[donor]  # donors are observed, hence original
-    if isinstance(col, CategoricalColumn):
-        new_col: object = CategoricalColumn(col.name, col.levels, new_vals)
-    else:
-        new_col = ContinuousColumn(col.name, new_vals, col.units)
-    completed = attrs.with_columns(new_col)
+        source[i] = observed_idx[int(np.argmin(gaps))]  # first occurrence wins
     return ImputationResult(
-        completed=completed,
-        provenance=provenance,
-        method="PSM",
+        completed=attrs.with_columns(col.with_numeric(col.numeric()[source])),
         diagnostics={
             "imputed": int(missing.sum()),
-            "donors": donors,
+            "donors": {int(i): int(source[i]) for i in np.flatnonzero(missing)},
             "propensity_coefficients": {
                 name: float(b) for name, b in zip(names, lf.beta)
             },
         },
     )
-
-
-def _mode_code(codes: np.ndarray) -> int:
-    observed = codes[codes != MISSING_CODE]
-    counts = np.bincount(observed)
-    return int(np.argmax(counts))  # smallest code on ties
-
-
-class _Working:
-    """Mutable copy of the table's columns as plain arrays."""
-
-    def __init__(self, attrs: AttributeTable, columns: list[str]):
-        self.attrs = attrs
-        self.names = columns
-        self.kind = {}
-        self.values = {}
-        for name in columns:
-            col = attrs[name]
-            if isinstance(col, CategoricalColumn):
-                self.kind[name] = "cat"
-                self.values[name] = col.codes.astype(np.float64)
-            else:
-                self.kind[name] = "cont"
-                self.values[name] = col.values.copy()
-
-    def features_for(self, target: str) -> np.ndarray:
-        cols = []
-        for name in self.names:
-            if name == target:
-                continue
-            v = self.values[name]
-            if self.kind[name] == "cat":
-                levels = len(self.attrs[name].levels)
-                for k in range(levels):
-                    cols.append((v == k).astype(np.float64))
-            else:
-                cols.append(v)
-        if not cols:
-            return np.zeros((self.attrs.n, 1))
-        return np.column_stack(cols)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: v.copy() for name, v in self.values.items()}
 
 
 def impute_missforest(
@@ -205,7 +122,6 @@ def impute_missforest(
         raise ConfigError("no target columns given")
     if covariates is None:
         covariates = [c for c in attrs.names if c not in targets]
-    provenance = MissingnessMask.of(attrs)
     masks = {t: attrs[t].missing_mask() for t in targets}
     for t in targets:
         if (~masks[t]).sum() == 0:
@@ -214,8 +130,6 @@ def impute_missforest(
     if total_missing == 0:
         return ImputationResult(
             completed=attrs,
-            provenance=provenance,
-            method="MissForest",
             diagnostics={"iterations": 0, "imputed": {t: 0 for t in targets}, "oob": {}},
         )
 
@@ -223,20 +137,32 @@ def impute_missforest(
         if name not in targets and attrs[name].missing_mask().any():
             raise CovariateMissing(f"covariate {name!r} has missing cells")
     columns = list(dict.fromkeys(list(targets) + list(covariates)))
-    work = _Working(attrs, columns)
-    # initial fill: column mode for categorical, mean for continuous
+    values = {name: attrs[name].numeric() for name in columns}
+    categorical = {name: isinstance(attrs[name], CategoricalColumn) for name in columns}
+
+    def features_for(target: str) -> np.ndarray:
+        """Every other column, a categorical one as one indicator per level."""
+        cols = []
+        for name in columns:
+            if name == target:
+                continue
+            v = values[name]
+            if categorical[name]:
+                cols.extend((v == k).astype(np.float64) for k in range(len(attrs[name].levels)))
+            else:
+                cols.append(v)
+        return np.column_stack(cols) if cols else np.zeros((attrs.n, 1))
+
+    # initial fill: column mode for categorical (smallest code on ties), mean for continuous
     for t in targets:
-        m = masks[t]
-        if work.kind[t] == "cat":
-            work.values[t][m] = _mode_code(attrs[t].codes)
-        else:
-            work.values[t][m] = float(np.nanmean(attrs[t].values))
+        v, m = values[t], masks[t]
+        v[m] = np.argmax(np.bincount(v[~m].astype(np.int64))) if categorical[t] else np.nanmean(v)
     order = sorted(targets, key=lambda t: (int(masks[t].sum()), targets.index(t)))
-    cat_targets = [t for t in order if work.kind[t] == "cat" and masks[t].any()]
-    cont_targets = [t for t in order if work.kind[t] == "cont" and masks[t].any()]
+    cat_targets = [t for t in order if categorical[t] and masks[t].any()]
+    cont_targets = [t for t in order if not categorical[t] and masks[t].any()]
 
     streams = np.random.SeedSequence(seed).spawn(_MAX_ROUNDS * len(order))
-    prev = work.snapshot()
+    prev = {name: v.copy() for name, v in values.items()}
     prev_oob: dict[str, float] = {}
     last_diffs: dict[str, float] = {}
     iterations = 0
@@ -246,66 +172,53 @@ def impute_missforest(
             m = masks[t]
             if not m.any():
                 continue
-            X = work.features_for(t)
-            y = work.values[t]
+            X = features_for(t)
+            y = values[t]
             train = ~m
             sub_seed = int(
                 streams[it * len(order) + c_idx].generate_state(1, np.uint64)[0]
             )
             if int(train.sum()) < 2:
                 # a single observed cell: the constant is all we can learn
-                work.values[t][m] = y[train][0]
+                y[m] = y[train][0]
                 oob[t] = float("nan")
                 continue
-            rf = RandomForest(forest, classify=(work.kind[t] == "cat"))
+            rf = RandomForest(forest, classify=categorical[t])
             rf.fit(X[train], y[train], sub_seed)
-            pred = rf.predict(X[m])
-            work.values[t][m] = pred
+            y[m] = rf.predict(X[m])
             oob[t] = rf.oob_error
         iterations = it + 1
         # change criterion between successive rounds
         diffs: dict[str, float] = {}
         if cat_targets:
             changed = sum(
-                int(np.sum(work.values[t][masks[t]] != prev[t][masks[t]]))
+                int(np.sum(values[t][masks[t]] != prev[t][masks[t]]))
                 for t in cat_targets
             )
             cells = sum(int(masks[t].sum()) for t in cat_targets)
             diffs["cat"] = changed / cells
         if cont_targets:
             num = sum(
-                float(np.sum((work.values[t] - prev[t]) ** 2)) for t in cont_targets
+                float(np.sum((values[t] - prev[t]) ** 2)) for t in cont_targets
             )
-            den = sum(float(np.sum(work.values[t] ** 2)) for t in cont_targets)
+            den = sum(float(np.sum(values[t] ** 2)) for t in cont_targets)
             diffs["cont"] = num / den if den > 0 else 0.0
         if last_diffs and all(diffs[k] > last_diffs[k] for k in diffs):
             # criterion rose for every type present: keep the previous round
-            work.values = prev
+            values = prev
             oob = prev_oob
             iterations = it
             break
         last_diffs = diffs
-        prev = work.snapshot()
+        prev = {name: v.copy() for name, v in values.items()}
         prev_oob = oob
 
-    new_cols = []
-    for t in targets:
-        col = attrs[t]
-        if isinstance(col, CategoricalColumn):
-            new_cols.append(
-                CategoricalColumn(t, col.levels, work.values[t].astype(np.int64))
-            )
-        else:
-            new_cols.append(ContinuousColumn(t, work.values[t], col.units))
-    completed = attrs.with_columns(*new_cols)
     return ImputationResult(
-        completed=completed,
-        provenance=provenance,
-        method="MissForest",
+        completed=attrs.with_columns(*(attrs[t].with_numeric(values[t]) for t in targets)),
         diagnostics={
             "iterations": iterations,
             "imputed": {t: int(masks[t].sum()) for t in targets},
-            "oob": {t: (None if np.isnan(v) else float(v)) for t, v in oob.items()},
+            "oob": oob,
             "seed": seed,
         },
     )

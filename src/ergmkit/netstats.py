@@ -10,13 +10,12 @@ degree variance over endpoints is zero).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dataio import column, table_csv, table_json
+from .dataio import column, json_text, table_csv, table_json
 from .errors import EmptyGraph, NoEdges, TooFewNodes
 from .graph import Graph
 
@@ -114,10 +113,10 @@ class NetworkSummary:
     average_degree: float = column()
     degree_sd: float = column()
     mean_betweenness: Optional[float] = column()
-    density: float = column()
+    density: Optional[float] = column()
 
     def to_json(self) -> str:
-        return json.dumps(table_json(NetworkSummary, [self])[0], sort_keys=True)
+        return json_text(table_json(NetworkSummary, [self])[0])
 
     def to_csv(self) -> str:
         return table_csv(NetworkSummary, [self])
@@ -126,9 +125,9 @@ class NetworkSummary:
 def network_summary(g: Graph) -> NetworkSummary:
     """All descriptive statistics for one graph.
 
-    Betweenness is reported as None for n < 3 and assortativity as None for
-    edgeless or degree-constant graphs instead of raising, so a summary can
-    always be produced for a loadable graph.
+    Density is reported as None for n < 2, betweenness for n < 3, and
+    assortativity for edgeless or degree-constant graphs instead of raising,
+    so a summary can always be produced for a loadable graph.
     """
     mean, sd = average_degree(g)
     betw = mean_betweenness(g) if g.n >= 3 else None
@@ -139,7 +138,7 @@ def network_summary(g: Graph) -> NetworkSummary:
     return NetworkSummary(
         node_count=g.n,
         edge_count=g.edge_count,
-        density=density(g),
+        density=density(g) if g.n >= 2 else None,
         transitivity=transitivity(g),
         average_degree=mean,
         degree_sd=sd,

@@ -30,14 +30,7 @@ from .dataio import (
     text,
 )
 from .errors import ConfigError
-from .graph import (
-    AttributeTable,
-    CategoricalColumn,
-    ContinuousColumn,
-    Graph,
-    MISSING_CODE,
-)
-from .imputation import MissingnessMask
+from .graph import AttributeTable, CategoricalColumn, ContinuousColumn, Graph
 from .logistic import sigmoid
 from .model import ModelSpec, dyad_endpoints, read_term, term_to_dict
 from .sampler import SamplerConfig, simulate
@@ -134,10 +127,8 @@ def _calibrate_intercept(z: np.ndarray, slope: float, rate: float) -> float:
     return (lo + hi) / 2.0
 
 
-def generate(
-    spec: SynthSpec,
-) -> tuple[Graph, AttributeTable, MissingnessMask, np.ndarray]:
-    """Graph, attribute table with injected missingness, mask, and true theta."""
+def generate(spec: SynthSpec) -> tuple[Graph, AttributeTable, np.ndarray]:
+    """Graph, attribute table with injected missingness, and true theta."""
     root = np.random.SeedSequence(spec.seed)
     attr_ss, graph_ss, miss_ss = root.spawn(3)
     rng = np.random.Generator(np.random.PCG64(attr_ss))
@@ -164,30 +155,17 @@ def generate(
     mrng = np.random.Generator(np.random.PCG64(miss_ss))
     new_cols = {c.name: c for c in complete.columns()}
     for ms in spec.missing:
-        col = new_cols[ms.column]
         if ms.mechanism == "mcar":
             mask = mrng.random(spec.n) < ms.rate
         else:
-            cov = complete[ms.covariate]
-            z = (
-                cov.values.astype(np.float64)
-                if isinstance(cov, ContinuousColumn)
-                else cov.codes.astype(np.float64)
-            )
+            z = complete[ms.covariate].numeric()
             sd = z.std()
             z = (z - z.mean()) / sd if sd > 0 else np.zeros(spec.n)
             a = _calibrate_intercept(z, ms.slope, ms.rate)
             mask = mrng.random(spec.n) < sigmoid(a + ms.slope * z)
-        if isinstance(col, CategoricalColumn):
-            codes = col.codes.copy()
-            codes[mask] = MISSING_CODE
-            new_cols[ms.column] = CategoricalColumn(col.name, col.levels, codes)
-        else:
-            vals = col.values.copy()
-            vals[mask] = np.nan
-            new_cols[ms.column] = ContinuousColumn(col.name, vals, col.units)
-    observed = AttributeTable(tuple(new_cols.values()))
-    return g, observed, MissingnessMask.of(observed), theta
+        col = new_cols[ms.column]
+        new_cols[ms.column] = col.with_numeric(np.where(mask, np.nan, col.numeric()))
+    return g, AttributeTable(tuple(new_cols.values())), theta
 
 
 def spec_from_dict(d: dict) -> SynthSpec:

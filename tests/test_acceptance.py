@@ -172,7 +172,7 @@ def test_criterion_4_estimator_correctness():
             theta=(-2.2, 0.8),
             seed=77,
         )
-        g50, attrs50, _, _ = generate(spec)
+        g50, attrs50, _ = generate(spec)
         mple = fit_mple(g50, attrs50, spec.model)
         # default burn-in and thinning (10 n^2 and n^2 proposals) keep the
         # retained samples near-independent, which the MC SE assumes
@@ -205,7 +205,7 @@ def _recovery_replicate(seed: int):
         theta=REC_THETA,
         seed=seed,
     )
-    g, attrs, _, _ = generate(spec)
+    g, attrs, _ = generate(spec)
     fit = fit_mple(g, attrs, REC_MODEL)
     inside = np.abs(fit.theta - np.array(REC_THETA)) <= 3 * fit.standard_errors()
     screen = screen_univariate(

@@ -117,6 +117,32 @@ class TestStats:
         payload = json.loads(out)
         assert payload["node_count"] == 3 and payload["edge_count"] == 2
 
+    def test_single_node_component_has_no_density(self, tmp_path, capsys):
+        # an edgeless graph's largest component is one node
+        (tmp_path / "e.csv").write_text("source,target\n")
+        (tmp_path / "n.txt").write_text("a\nb\nc\n")
+        args = ["--edges", str(tmp_path / "e.csv"), "--nodes", str(tmp_path / "n.txt")]
+        code, out, err = run_cli(capsys, "stats", *args, "--scope", "lcc")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["node_count"] == 1 and payload["density"] is None
+        assert payload["mean_betweenness"] is None
+        code, out, _ = run_cli(capsys, "stats", *args)
+        assert code == 0 and json.loads(out)["density"] == 0.0
+
+    def test_run_on_a_single_node_component_passes_netstats(self, tmp_path, capsys):
+        (tmp_path / "edges.csv").write_text("source,target\n")
+        (tmp_path / "attrs.csv").write_text("id,sex\na,male\nb,female\nc,male\n")
+        (tmp_path / "schema.json").write_text(
+            json.dumps({"columns": {"sex": {"type": "categorical", "levels": ["male", "female"]}}})
+        )
+        cfg = make_config(tmp_path, attributes_used=["sex"], scope="lcc")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4 and "n >= 2" in err  # the fit has no dyad
+        out = tmp_path / "out"
+        assert json.loads((out / "network_summary.json").read_text())["density"] is None
+        assert "netstats" not in (out / "FAILED").read_text()
+
     def test_writes_output_files(self, tmp_path, capsys):
         make_dataset(tmp_path, missing_rate=0.0)
         out = tmp_path / "statsout"
@@ -472,6 +498,16 @@ class TestExitCodes:
         assert code == 4
         assert "rows" in err
 
+    def test_node_id_with_carriage_return_is_data_error(self, tmp_path, capsys):
+        make_dataset(tmp_path, missing_rate=0.0)
+        with open(tmp_path / "attrs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][0] = "a\rb"
+        with open(tmp_path / "attrs.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code, _, err = run_cli(capsys, "run", "--config", str(make_config(tmp_path)))
+        assert code == 4 and "carriage return" in err
+
     def test_too_few_nodes_is_data_error(self, tmp_path, capsys):
         # complete cases leave one node, so there is no dyad to fit
         (tmp_path / "edges.csv").write_text("source,target\n0,1\n1,2\n2,3\n")
@@ -735,6 +771,30 @@ class TestPipelineCommands:
         code, _, err = run_cli(capsys, "run", "--config", str(out / "config.json"))
         assert code == 0, err
         assert (out / "runout" / "manifest.json").exists()
+
+    def test_data_files_end_lines_with_newline(self, tmp_path, capsys):
+        spec = {
+            "n": 30,
+            "columns": {
+                "sex": {"type": "categorical", "levels": ["m", "f"], "probs": [0.6, 0.4]},
+                "age": {"type": "continuous", "mean": 35.0, "sd": 7.0},
+            },
+            "model": [{"term": "edges"}],
+            "theta": [-1.5],
+            "missing": [{"column": "sex", "rate": 0.2}, {"column": "age", "rate": 0.2}],
+            "seed": 5,
+        }
+        (tmp_path / "synth.json").write_text(json.dumps(spec))
+        out = tmp_path / "synthout"
+        code, _, err = run_cli(capsys, "synth", "--config", str(tmp_path / "synth.json"), "--out", str(out))
+        assert code == 0, err
+        for name in ("edges.csv", "attributes.csv", "truth.json", "schema.json"):
+            assert b"\r" not in (out / name).read_bytes(), name
+        with open(out / "attributes.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        blanks = {name: sum(row[k] == "" for row in rows) for k, name in enumerate(header) if k}
+        assert json.loads((out / "truth.json").read_text())["missing_counts"] == blanks
+        assert blanks["sex"] > 0 and blanks["age"] > 0
 
     def test_gof_prints_report(self, tmp_path, capsys):
         make_dataset(tmp_path, missing_rate=0.0)

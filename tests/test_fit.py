@@ -216,7 +216,7 @@ class TestMcmle:
             theta=(-2.2, 0.8),
             seed=41,
         )
-        g, attrs, _, _ = generate(spec)
+        g, attrs, _ = generate(spec)
         model = spec.model
         # default thinning (n^2) keeps retained samples near-independent,
         # matching the independence assumption behind the MC SE
@@ -371,7 +371,7 @@ class TestGof:
             theta=(-3.4, 2.2),
             seed=3,
         )
-        g, attrs, _, _ = generate(spec)
+        g, attrs, _ = generate(spec)
         edges_only = ModelSpec([Edges()])
         fitted = fit_mple(g, attrs, edges_only)
         cfg = SamplerConfig(burn_in=None, thin=None, sample_count=300, seed=15)
@@ -467,7 +467,7 @@ class TestScreen:
             theta=(-3.0, 1.5),
             seed=21,
         )
-        g, attrs, _, _ = generate(spec)
+        g, attrs, _ = generate(spec)
         report = screen_univariate(g, attrs, [NodeMatch("sex", differential=False)])
         assert report.entries[0].selected
 
@@ -496,7 +496,7 @@ class TestScreen:
             theta=(-2.5, 1.4),
             seed=5,
         )
-        g, gen_attrs, _, _ = generate(spec)
+        g, gen_attrs, _ = generate(spec)
         attrs = AttributeTable(
             [
                 categorical("const", ["x"], labels_const),

@@ -9,6 +9,7 @@ from ergmkit.errors import DataError, EmptyGraph, SelfLoop, UnknownNodeId
 from ergmkit.graph import (
     AttributeTable,
     CategoricalColumn,
+    ContinuousColumn,
     Graph,
     categorical,
     connected_components,
@@ -226,3 +227,67 @@ class TestAttributeTable:
     def test_code_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CategoricalColumn("c", ("x",), np.array([1]))
+
+    def test_equality_tells_kind_levels_and_missing_cells_apart(self):
+        def table(col):
+            return AttributeTable([col])
+
+        cat = categorical("c", ["x", "y"], ["x", None, "y"])
+        assert table(cat) == table(categorical("c", ["x", "y"], ["x", None, "y"]))
+        assert table(cat) != table(CategoricalColumn("c", ("y", "x"), cat.codes))
+        assert table(cat) != table(categorical("c", ["x", "y"], [None, "x", "y"]))
+        assert table(cat) != table(ContinuousColumn("c", cat.codes))
+        assert table(cat) != table(ContinuousColumn("c", [0.0, np.nan, 1.0]))
+        cont = continuous("a", [1.5, None, 2.0])
+        assert table(cont) == table(continuous("a", [1.5, None, 2.0]))
+        assert table(cont) != table(continuous("a", [None, 1.5, 2.0]))
+        assert table(cont) != table(continuous("a", [1.5, 0.0, 2.0]))
+        assert table(cont) != AttributeTable([continuous("b", [1.5, None, 2.0])])
+
+
+@st.composite
+def columns_with_gaps(draw, n):
+    """A categorical or continuous column of ``n`` cells, some of them missing."""
+    missing = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.text("xyz", min_size=1), min_size=1, max_size=4, unique=True))
+        codes = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+        return CategoricalColumn("c", tuple(levels), np.where(missing, MISSING_CODE, codes))
+    values = draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n))
+    return ContinuousColumn("c", np.where(missing, np.nan, values), units=draw(st.text("kg", max_size=2)))
+
+
+def reindexed(col, index):
+    """The column with its cells re-indexed, rebuilt from its own kind's fields."""
+    if isinstance(col, CategoricalColumn):
+        return CategoricalColumn(col.name, col.levels, col.codes[index])
+    return ContinuousColumn(col.name, col.values[index], col.units)
+
+
+def assert_same_column(a, b):
+    assert type(a) is type(b) and a.name == b.name
+    if isinstance(a, CategoricalColumn):
+        assert a.levels == b.levels and np.array_equal(a.codes, b.codes)
+    else:
+        assert a.units == b.units
+        assert a.values.tobytes() == b.values.tobytes()  # NaN and signed zeros too
+
+
+class TestNumericCells:
+    @given(st.integers(0, 8).flatmap(columns_with_gaps))
+    @settings(max_examples=200, deadline=None)
+    def test_with_numeric_of_numeric_is_the_column(self, col):
+        cells = col.numeric()
+        assert cells.dtype == np.float64
+        assert np.array_equal(np.isnan(cells), col.missing_mask())
+        assert_same_column(col.with_numeric(cells), col)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_subset_reindexes_each_kind_as_its_own_fields(self, data):
+        n = data.draw(st.integers(1, 8))
+        col = data.draw(columns_with_gaps(n))
+        index = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=10)), dtype=np.int64)
+        sub = AttributeTable([col]).subset(index)
+        assert_same_column(sub["c"], reindexed(col, index))
+        assert sub == AttributeTable([reindexed(col, index)])

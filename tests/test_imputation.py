@@ -1,16 +1,14 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
 from ergmkit.errors import AllMissing, CovariateMissing, PropensityDegenerate
 from ergmkit.forest import ForestConfig
 from ergmkit.graph import AttributeTable, categorical, continuous
-from ergmkit.imputation import (
-    MissingnessMask,
-    impute_missforest,
-    impute_psm,
-)
+from ergmkit.imputation import impute_missforest, impute_psm
 
 from conftest import rng
 
@@ -243,7 +241,6 @@ class TestMissForest:
         res = impute_missforest(attrs, ["age", "living"], forest=FOREST, seed=3)
         assert not res.completed["age"].missing_mask().any()
         assert not res.completed["living"].missing_mask().any()
-        assert res.method == "MissForest"
 
 
 def paper_like_table(blank_age: bool) -> AttributeTable:
@@ -315,16 +312,21 @@ class TestGoldenMissForest:
         assert res.diagnostics["oob"] == {"age": 100.55834844690669}
 
 
-class TestMask:
-    def test_mask_matches_table(self):
-        attrs, _, gaps = table_with_gaps(seed=16)
-        mask = MissingnessMask.of(attrs)
-        np.testing.assert_array_equal(mask["living"], gaps)
-        assert mask.total() == int(gaps.sum())
+class TestInputUnchanged:
+    # the input table is the record of which cells were missing
+    @pytest.mark.parametrize("blank_age", [False, True])
+    def test_psm(self, blank_age):
+        attrs = paper_like_table(blank_age)
+        before = copy.deepcopy(attrs)
+        target = "age" if blank_age else "living"
+        res = impute_psm(attrs, target, [c for c in attrs.names if c != target])
+        assert attrs == before and res.completed != before
 
-    def test_provenance_preserved_under_imputation(self):
-        attrs, _, gaps = table_with_gaps(seed=17)
-        res = impute_missforest(attrs, ["living"], forest=FOREST, seed=0)
-        np.testing.assert_array_equal(res.provenance["living"], gaps)
-        # completed table has no missing left, mask still records history
-        assert not res.completed["living"].missing_mask().any()
+    def test_missforest(self):
+        attrs = paper_like_table(blank_age=True)
+        living = attrs["living"].labels()
+        attrs = attrs.with_columns(categorical("living", attrs["living"].levels, [None] + living[1:]))
+        before = copy.deepcopy(attrs)
+        res = impute_missforest(attrs, ["age", "living"], forest=ForestConfig(trees=5), seed=1)
+        assert attrs == before and res.completed != before
+        assert not any(res.completed[t].missing_mask().any() for t in ("age", "living"))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergmkit.dataio import (
+    json_text,
     load_network,
     load_schema,
     read_attribute_csv,
@@ -23,7 +24,7 @@ from ergmkit.dataio import (
     write_edge_csv,
 )
 from ergmkit.errors import ConfigError, DataError, UnknownLevel, UnmappedLabel
-from ergmkit.fit import GofRow, OrRow
+from ergmkit.fit import FitResult, GofReport, GofRow, OrRow, or_table
 from ergmkit.graph import AttributeTable, categorical, continuous
 from ergmkit.model import Edges, ModelSpec, NodeMatch
 from ergmkit.pipeline import (
@@ -160,7 +161,7 @@ def make_dataset(tmp_path: Path, n=70, missing_rate=0.15, seed=13):
         missing=(MissingSpec("living", missing_rate, "mcar"),) if missing_rate else (),
         seed=seed,
     )
-    g, attrs, _, _ = generate(spec)
+    g, attrs, _ = generate(spec)
     write_edge_csv(tmp_path / "edges.csv", g)
     write_attribute_csv(tmp_path / "attrs.csv", attrs)
     schema = {
@@ -516,3 +517,30 @@ class TestTableWriter:
                 value = getattr(row, name)
                 assert _same(_PARSE[types[name]](cell), value)
                 assert _same(doc[key], value)
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, as RFC 8259 parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestJson:
+    def test_non_finite_cells_are_null(self, tmp_path):
+        # theta 800 with SE 100: the odds ratio and its upper bound overflow
+        theta, cov = np.array([0.5, 800.0]), np.diag([0.04, 1e4])
+        rows = or_table(theta, cov, ["edges", "far"])
+        assert np.isinf(rows[1].ci_high)
+        fit = FitResult(theta, cov, ("edges", "far"), "MPLE", rows, {"score_norm": np.nan})
+        doc = strict_json(fit.to_json())
+        assert doc["table"][1]["ci_high"] is None and doc["table"][0]["ci_high"] > 0
+        assert doc["diagnostics"] == {"score_norm": None}
+        nan = float("nan")
+        gof = GofReport(stat_rows=(GofRow("edges", 3.0, nan, nan, nan, nan, False),), degree_rows=())
+        (row,) = strict_json(gof.to_json())["model_statistics"]
+        assert row == {"name": "edges", "observed": 3.0, "sim_mean": None, "lo": None,
+                       "hi": None, "p": None, "in_band": False}
+        assert strict_json(json_text({"a": [np.float64(-np.inf), np.int64(2)]})) == {"a": [None, 2]}

@@ -123,8 +123,12 @@ def test_library_example_runs(capsys):
 
 
 def test_public_api_is_the_documented_one():
-    words = set(re.findall(r"\w+", section("Library use")))
+    text = section("Library use")
+    words = set(re.findall(r"\w+", text))
     assert [name for name in ergmkit.__all__ if name not in words] == []
+    # a class name in backticks is one the package exports
+    named = re.findall(r"`([A-Z]\w*[a-z]\w*)`", text)
+    assert named and [name for name in named if name not in ergmkit.__all__] == []
     (code,) = [text for heading, text in blocks("python") if heading == "Library use"]
     imported = [
         alias.name

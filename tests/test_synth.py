@@ -38,13 +38,12 @@ def base_spec(**overrides):
 class TestGenerate:
     def test_zero_rate_all_observed(self):
         spec = base_spec(missing=(MissingSpec("sex", 0.0),))
-        _, attrs, mask, _ = generate(spec)
-        assert mask.total() == 0
+        _, attrs, _ = generate(spec)
         assert not attrs["sex"].missing_mask().any()
 
     def test_zero_theta_half_density(self):
         spec = base_spec(n=30, theta=(0.0,), seed=4)
-        g, _, _, _ = generate(spec)
+        g, _, _ = generate(spec)
         D = 30 * 29 // 2
         se = math.sqrt(D * 0.25)
         assert abs(g.edge_count - D / 2) <= 4 * se
@@ -56,7 +55,7 @@ class TestGenerate:
             columns={"sex": CategoricalSpec(("male", "female"), (0.79, 0.21))},
             seed=8,
         )
-        _, attrs, _, _ = generate(spec)
+        _, attrs, _ = generate(spec)
         frac = float(np.mean(attrs["sex"].codes == 0))
         se = math.sqrt(0.79 * 0.21 / 356)
         assert abs(frac - 0.79) <= 3 * se
@@ -81,14 +80,15 @@ class TestGenerate:
                 missing=(MissingSpec("sex", 0.25, "mcar"),),
                 seed=1000 + seed,
             )
-            _, attrs, mask, _ = generate(spec)
+            _, attrs, _ = generate(spec)
+            missing = attrs["sex"].missing_mask()
             # recover the true values by regenerating without missingness
             ref_spec = base_spec(n=60, missing=(), seed=1000 + seed)
-            _, truth, _, _ = generate(ref_spec)
+            _, truth, _ = generate(ref_spec)
             for lev in (0, 1):
                 sel = truth["sex"].codes == lev
-                miss_by_level[lev, 0] += int(np.sum(mask["sex"][sel]))
-                miss_by_level[lev, 1] += int(np.sum(~mask["sex"][sel]))
+                miss_by_level[lev, 0] += int(np.sum(missing[sel]))
+                miss_by_level[lev, 1] += int(np.sum(~missing[sel]))
         _, p, _, _ = sps.chi2_contingency(miss_by_level)
         assert p > 0.01
 
@@ -98,12 +98,13 @@ class TestGenerate:
             missing=(MissingSpec("sex", 0.3, "mar", covariate="age", slope=2.5),),
             seed=3,
         )
-        _, attrs, mask, _ = generate(spec)
-        rate = float(np.mean(mask["sex"]))
+        _, attrs, _ = generate(spec)
+        missing = attrs["sex"].missing_mask()
+        rate = float(np.mean(missing))
         assert abs(rate - 0.3) <= 0.08
         ages = generate(base_spec(n=400, seed=3))[1]["age"].values
         older = ages > np.median(ages)
-        assert float(np.mean(mask["sex"][older])) > float(np.mean(mask["sex"][~older]))
+        assert float(np.mean(missing[older])) > float(np.mean(missing[~older]))
 
     def test_homophily_generation_shifts_match_statistic(self):
         model = ModelSpec([Edges(), NodeMatch("sex", differential=False)])
@@ -111,8 +112,8 @@ class TestGenerate:
         homophilous = base_spec(n=50, model=model, theta=(-2.0, 1.8), seed=6)
         from ergmkit.model import statistics
 
-        g0, a0, _, _ = generate(neutral)
-        g1, a1, _, _ = generate(homophilous)
+        g0, a0, _ = generate(neutral)
+        g1, a1, _ = generate(homophilous)
         frac0 = statistics(g0, a0, model)[1] / max(1, g0.edge_count)
         frac1 = statistics(g1, a1, model)[1] / max(1, g1.edge_count)
         assert frac1 > frac0
